@@ -437,8 +437,8 @@ def RA03(module: SourceModule) -> Iterator[Finding]:
 _BARE_ERRORS = {"RuntimeError", "ValueError"}
 
 _TAXONOMY_HINT = (
-    "the taxonomy here is ShardCrashError / JournalError / TransportError / "
-    "CodecError / BatchIngestError / StaleStoreError"
+    "the taxonomy here is ShardCrashError / JournalError / CodecError / "
+    "BatchIngestError / StaleStoreError"
 )
 
 
@@ -451,8 +451,8 @@ def _ra04_in_scope(module: SourceModule) -> bool:
 @rule(
     "RA04",
     "data-plane failures raise the typed error taxonomy",
-    "Callers route on ShardCrashError/JournalError/TransportError/"
-    "CodecError/BatchIngestError; a bare RuntimeError or ValueError "
+    "Callers route on ShardCrashError/JournalError/CodecError/"
+    "BatchIngestError; a bare RuntimeError or ValueError "
     "escaping the data plane is unroutable and unhandled.",
 )
 def RA04(module: SourceModule) -> Iterator[Finding]:

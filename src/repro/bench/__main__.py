@@ -11,7 +11,7 @@ Modes::
     # profile one workload instead of timing it
     PYTHONPATH=src python -m repro.bench --profile --workloads random_walk
 
-    # profile the engine or sharded-transport hot path instead
+    # profile the engine or sharded-engine hot path instead
     PYTHONPATH=src python -m repro.bench --profile --profile-mode sharded
 
     # diff two recorded runs and flag regressions
@@ -20,8 +20,7 @@ Modes::
 
 Each run covers the per-compressor suite (object + columnar passes) and,
 unless ``--no-fleet``, the multi-stream fleet benchmark (per-device
-ceiling, single-process engine, sharded engine per ``--fleet-workers``
-crossed with every data plane in ``--transports``).
+ceiling, single-process engine, sharded engine per ``--fleet-workers``).
 External reference numbers (e.g. the pre-optimization throughput this PR
 is measured against) can be recorded straight into the output with
 ``--baseline name=value`` so one file carries both sides of a comparison.
@@ -246,13 +245,11 @@ def _run_profile_engine(
     seed: int,
     batch_size: int,
     workers: int,
-    transport: str,
     top: int,
 ) -> None:
     """Profile the fleet ingest path through the single-process engine
     (``mode="engine"``) or the sharded engine (``mode="sharded"``, using
-    the first ``--fleet-workers`` count and the first ``--transports``
-    data plane).  Worker spawn and data generation stay outside the
+    the first ``--fleet-workers`` count).  Worker spawn and data generation stay outside the
     profiler, matching what the fleet bench times."""
     import functools
 
@@ -264,8 +261,8 @@ def _run_profile_engine(
     batches = list(iter_fix_batches(ids, cols, batch_size))
     factory = functools.partial(bqs_fleet_factory, epsilon)
     if mode == "sharded":
-        engine = ShardedStreamEngine(factory, workers=workers, transport=transport)
-        label = f"sharded-{workers} ({transport})"
+        engine = ShardedStreamEngine(factory, workers=workers)
+        label = f"sharded-{workers}"
     else:
         engine = StreamEngine(factory)
         label = "engine"
@@ -343,7 +340,7 @@ def main_run(argv: Sequence[str]) -> int:
         default="compressor",
         help="what --profile profiles: the per-compressor suite (default), "
         "the single-process engine's fleet ingest, or the sharded engine "
-        "(first --fleet-workers count, first --transports data plane)",
+        "(first --fleet-workers count)",
     )
     parser.add_argument(
         "--no-fleet",
@@ -415,11 +412,6 @@ def main_run(argv: Sequence[str]) -> int:
         default="2,4",
         help="comma-separated worker counts for the sharded engine",
     )
-    parser.add_argument(
-        "--transports",
-        default="pipe,shm",
-        help="comma-separated sharded data planes to bench (pipe, shm)",
-    )
     args = parser.parse_args(argv)
 
     # Validate before the (potentially minutes-long) run so a malformed
@@ -444,13 +436,6 @@ def main_run(argv: Sequence[str]) -> int:
         )
     if any(w < 1 for w in fleet_workers):
         raise SystemExit("--fleet-workers values must be >= 1")
-
-    transports = [t.strip() for t in args.transports.split(",") if t.strip()]
-    if not transports or any(t not in ("pipe", "shm") for t in transports):
-        raise SystemExit(
-            f"--transports expects a subset of pipe,shm, got "
-            f"{args.transports!r}"
-        )
 
     if args.smoke:
         scale_sizes = list(_SMOKE_SCALE_SIZES)
@@ -481,7 +466,6 @@ def main_run(argv: Sequence[str]) -> int:
                 args.seed,
                 args.fleet_batch,
                 fleet_workers[0],
-                transports[0],
                 args.profile_top,
             )
             return 0
@@ -522,7 +506,6 @@ def main_run(argv: Sequence[str]) -> int:
             seed=args.seed,
             batch_size=args.fleet_batch,
             worker_counts=fleet_workers,
-            transports=transports,
             progress=lambda msg: print(f"bench: {msg}", file=sys.stderr),
         )
 
@@ -591,8 +574,7 @@ def main_run(argv: Sequence[str]) -> int:
 
     out_path = args.out or f"BENCH_{datetime.date.today().isoformat()}.json"
     document = {
-        # Schema 8: fleet records carry transport + per-shard stats, and
-        # the sharded modes span a transport dimension (sharded-N-shm).
+        # Schema 8: sharded fleet records carry per-shard stats.
         "schema": 8,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "python": platform.python_version(),

@@ -97,10 +97,9 @@ def diff_benches(
     # Fleet section (schema 2+): joined on mode.  The digests cover every
     # device's exact output, so drift here is an engine behaviour change —
     # the in-run audit only checks modes against each other, not against
-    # the recorded baseline.  Schema 8 widens the sharded modes with a
-    # transport dimension ("sharded-N" stays the pipe baseline, so older
-    # files keep joining; "sharded-N-shm" pairs up once both sides record
-    # it) — the intersection join needs no special casing.
+    # the recorded baseline.  The join is an intersection, so modes only
+    # one side recorded (e.g. the retired "sharded-N-shm" rows of older
+    # schema-8 files) are skipped without special casing.
     old_fleet = {r["mode"]: r for r in old.get("fleet", [])}
     new_fleet = {r["mode"]: r for r in new.get("fleet", [])}
     for mode in sorted(old_fleet.keys() & new_fleet.keys()):

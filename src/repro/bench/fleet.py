@@ -15,15 +15,12 @@ the *same* interleaved fix stream:
     interleaved columnar batches — measures the cost of online per-batch
     regrouping and dict dispatch.
 
-``sharded-N`` / ``sharded-N-shm``
+``sharded-N``
     The :class:`~repro.engine.sharded.ShardedStreamEngine` with N worker
-    processes, once per transport — ``sharded-N`` is the pickled-pipe
-    baseline (the mode name predates the transport dimension, so recorded
-    history keeps joining), ``sharded-N-shm`` the zero-copy shared-memory
-    rings.  Measures multi-core scale-out (or, on a single core, the
-    transport overhead; the numbers are recorded either way), with the
-    last repeat's per-shard :meth:`~repro.engine.sharded.
-    ShardedStreamEngine.transport_stats` attached to each record.
+    processes.  Measures multi-core scale-out (or, on a single core, the
+    pipe overhead; the numbers are recorded either way), with the last
+    repeat's per-shard :meth:`~repro.engine.sharded.ShardedStreamEngine.
+    transport_stats` attached to each record.
 
 Every mode must produce the identical per-device key points — the digest
 over all devices is compared and a mismatch raises
@@ -49,7 +46,7 @@ from ..engine.sanitize import (
     FeedSanitizer,
     SanitizePolicy,
 )
-from ..engine.sharded import TRANSPORTS, ShardedStreamEngine
+from ..engine.sharded import ShardedStreamEngine
 from ..engine.simulate import (
     bqs_fleet_factory,
     fleet_fixes,
@@ -74,7 +71,7 @@ __all__ = [
 class FleetRecord:
     """One engine mode's measurements over one fleet stream."""
 
-    mode: str  #: "per-device", "engine", "sharded-N", or "sharded-N-shm"
+    mode: str  #: "per-device", "engine", or "sharded-N"
     devices: int
     fixes_per_device: int
     fixes: int  #: total fixes in the interleaved stream
@@ -86,7 +83,6 @@ class FleetRecord:
     trajectories: int
     key_points: int
     key_digest: str  #: digest over every device's exact key points
-    transport: str = ""  #: sharded data plane ("pipe"/"shm"; "" in-process)
     shards: list | None = None  #: per-shard transport_stats (last repeat)
 
     def to_json(self) -> dict:
@@ -123,25 +119,15 @@ def run_fleet_bench(
     worker_counts: Sequence[int] = (2,),
     progress: Callable[[str], None] | None = None,
     repeats: int = 2,
-    transports: Sequence[str] = ("pipe", "shm"),
 ) -> List[FleetRecord]:
     """Benchmark every engine mode over one seeded fleet stream.
 
     Each mode runs ``repeats`` times and records its fastest wall
     (best-of-N against scheduler noise); the digest audit covers every
-    repeat's results.  Each sharded worker count runs once per entry in
-    ``transports``, so the pipe baseline and the shm ring path are
-    recorded side by side (and digest-audited against each other).
+    repeat's results.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats!r}")
-    if not transports:
-        raise ValueError("transports must name at least one transport")
-    for transport in transports:
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}: expected one of {TRANSPORTS}"
-            )
     ids, cols = fleet_fixes(devices, fixes_per_device, seed=seed)
     total = len(ids)
     factory = functools.partial(bqs_fleet_factory, epsilon)
@@ -156,7 +142,6 @@ def run_fleet_bench(
         workers: int,
         wall: float,
         results,
-        transport: str = "",
         shards: list | None = None,
     ) -> None:
         trajectories, key_points = _summarise(results)
@@ -174,7 +159,6 @@ def run_fleet_bench(
                 trajectories=trajectories,
                 key_points=key_points,
                 key_digest=fleet_digest(results),
-                transport=transport,
                 shards=shards,
             )
         )
@@ -232,36 +216,32 @@ def run_fleet_bench(
     wall, results = best_of(run_engine)
     record("engine", 0, wall, results)
 
-    # Mode 3: sharded engines, per worker count x transport.  Worker spawn
+    # Mode 3: sharded engines, per worker count.  Worker spawn
     # happens outside the timer (a deployment pays it once per process
     # lifetime, not per batch); the timed region covers dispatch, worker
     # compute, and result collection.  The per-shard transport stats come
     # from whichever repeat ran last — counters, not timings, so any
     # repeat's are representative.
     for workers in worker_counts:
-        for transport in transports:
-            suffix = "" if transport == "pipe" else f"-{transport}"
-            mode = f"sharded-{workers}{suffix}"
-            note(f"fleet/{mode}")
-            stats_box: list = []
+        mode = f"sharded-{workers}"
+        note(f"fleet/{mode}")
+        stats_box: list = []
 
-            def run_sharded(workers=workers, transport=transport):
-                sharded = ShardedStreamEngine(
-                    factory, workers=workers, transport=transport
-                )
-                try:
-                    t0 = time.perf_counter()
-                    for batch in iter_fix_batches(ids, cols, batch_size):
-                        sharded.push_columns(*batch)
-                    results = sharded.finish_all()
-                    wall = time.perf_counter() - t0
-                    stats_box[:] = sharded.transport_stats()
-                    return wall, results
-                finally:
-                    sharded.close()
+        def run_sharded(workers=workers):
+            sharded = ShardedStreamEngine(factory, workers=workers)
+            try:
+                t0 = time.perf_counter()
+                for batch in iter_fix_batches(ids, cols, batch_size):
+                    sharded.push_columns(*batch)
+                results = sharded.finish_all()
+                wall = time.perf_counter() - t0
+                stats_box[:] = sharded.transport_stats()
+                return wall, results
+            finally:
+                sharded.close()
 
-            wall, results = best_of(run_sharded)
-            record(mode, workers, wall, results, transport, list(stats_box))
+        wall, results = best_of(run_sharded)
+        record(mode, workers, wall, results, list(stats_box))
 
     for rec in records[1:]:
         if rec.key_digest != expected_digest:

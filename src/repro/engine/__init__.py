@@ -47,12 +47,7 @@ from .core import BatchIngestError, DeviceId, Fix, StreamEngine
 from .geodetic import GeoFix, GeoStreamEngine
 from .journal import FixJournal, JournalError, RecoveryReport
 from .sanitize import FeedReport, FeedSanitizer, SanitizePolicy
-from .sharded import (
-    ShardCrashError,
-    ShardedStreamEngine,
-    TransportError,
-    shard_of,
-)
+from .sharded import ShardCrashError, ShardedStreamEngine, shard_of
 from .simulate import (
     DisorderSummary,
     bqs_fleet_factory,
@@ -81,7 +76,6 @@ __all__ = [
     "SanitizePolicy",
     "ShardCrashError",
     "ShardedStreamEngine",
-    "TransportError",
     "Sink",
     "StreamEngine",
     "bqs_fleet_factory",

@@ -9,8 +9,7 @@ through the engine, printing throughput and the compression outcome::
 
 The default runs the single-process :class:`~repro.engine.core.
 StreamEngine`; ``--workers N`` (N >= 1) runs the sharded multiprocessing
-engine instead (``--transport shm`` switches its data plane to the
-zero-copy shared-memory rings).  ``--geodetic`` feeds raw GPS ``(lat, lon)`` fixes through
+engine instead.  ``--geodetic`` feeds raw GPS ``(lat, lon)`` fixes through
 the :class:`~repro.engine.geodetic.GeoStreamEngine` front-end (UTM zone
 auto-selected per device; ``--multi-zone`` scatters the fleet across two
 zone boundaries on both hemispheres, ``--noise-m`` adds GPS noise) and
@@ -143,13 +142,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="shard over N worker processes (0 = single-process engine)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("pipe", "shm"),
-        default="pipe",
-        help="sharded data plane: pickled pipes (default) or zero-copy "
-        "shared-memory rings (requires --workers)",
-    )
-    parser.add_argument(
         "--max-devices",
         type=int,
         default=None,
@@ -210,8 +202,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.swaps or args.dups or args.teleports or args.gaps or args.check_feed
     ) and not args.dirty:
         parser.error("--swaps/--dups/--teleports/--gaps/--check-feed require --dirty")
-    if args.transport != "pipe" and not args.workers:
-        parser.error("--transport shm requires --workers")
 
     factory = functools.partial(bqs_fleet_factory, args.epsilon)
     summary = None
@@ -263,7 +253,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"({total} total), epsilon={args.epsilon} m, "
         f"{'GPS-native, ' if args.geodetic else ''}"
         f"{'dirty feed, ' if args.dirty else ''}"
-        f"{'sharded x' + str(args.workers) + ' (' + args.transport + ')' if args.workers else 'single-process'}",
+        f"{'sharded x' + str(args.workers) if args.workers else 'single-process'}",
         file=sys.stderr,
     )
 
@@ -276,7 +266,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             idle_timeout=args.idle_timeout,
             geodetic=args.geodetic,
             policy=policy,
-            transport=args.transport,
         )
     elif args.geodetic:
         engine = GeoStreamEngine(

@@ -325,22 +325,6 @@ class GeoStreamEngine:
             )
         )
 
-    def push_grouped(
-        self,
-        groups: Dict[DeviceId, tuple],
-    ) -> int:
-        """Fold per-device ``(ts, lats, lons)`` degree columns in without
-        regrouping (mirrors :meth:`StreamEngine.push_grouped`; the entry
-        point for the sharded shm transport, whose frames arrive already
-        device-grouped)."""
-        for device_id, (ts, lats, lons) in groups.items():
-            if not (len(ts) == len(lats) == len(lons)):
-                raise ValueError(
-                    f"column length mismatch for device {device_id!r}: "
-                    f"ts={len(ts)}, lats={len(lats)}, lons={len(lons)}"
-                )
-        return self._project_and_dispatch(groups)
-
     def _project_and_dispatch(
         self, groups: Dict[DeviceId, tuple[array, array, array]]
     ) -> int:

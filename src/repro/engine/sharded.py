@@ -5,30 +5,12 @@ StreamEngine` per worker process and routes every device to exactly one
 worker by a stable hash of its id, so per-device fix order — and therefore
 per-device output — is preserved no matter how batches interleave.
 
-Two data planes, selected with ``transport=``:
-
-``"shm"`` (the fast path)
-    Per-worker ``multiprocessing.shared_memory`` ring buffers carry
-    length-prefixed columnar frames (tagged device ids + raw
-    little-endian ``f64`` columns, the write-ahead journal's encoding —
-    see :mod:`repro.engine.transport`); only a tiny doorbell message
-    ``("frame", seq, offset, length)`` crosses the control pipe, and the
-    worker feeds the decoded per-device groups straight into
-    ``push_grouped`` — no pickling, no worker-side regrouping.  Acks are
-    pipelined: the parent keeps filling the ring up to ``ack_window``
-    outstanding frames while the worker drains, and blocks only when the
-    ring or the window is full.
-
-``"pipe"`` (the parity baseline)
-    Fix batches cross the process boundary as pickled columnar
-    ``array('d')`` payloads over ``multiprocessing`` pipes and are
-    regrouped per device worker-side.  Kept as the reference
-    implementation the shm path is digest-checked against.
-
-Both transports produce output bit-identical to the single-process
-engine (the equivalence tests pin this); what sharding buys is CPU
-scale-out — each worker burns its own core.  On a single-core host the
-process hop is overhead, so expect speedups only when ``workers`` ≤
+Fix batches cross the process boundary as pickled columnar ``array('d')``
+payloads over ``multiprocessing`` pipes, one message per shard per batch,
+and are regrouped per device worker-side.  Output is bit-identical to the
+single-process engine (the equivalence tests pin this); what sharding buys
+is CPU scale-out — each worker burns its own core.  On a single-core host
+the process hop is overhead, so expect speedups only when ``workers`` ≤
 available cores; the fleet benchmark records both regimes honestly.
 
 ``compressor_factory`` must be picklable (a module-level function or a
@@ -51,11 +33,7 @@ the worker rebuilds its pre-crash state by replaying its shard journal
 dead worker never journaled from its pending-acknowledgement buffer.
 Supervised pushes are sequence-numbered and acknowledged after they are
 journaled, so the buffer stays small and the re-drive is exact: no
-acknowledged fix lost, none applied twice.  The shm transport reuses the
-same machinery frame for frame — every frame is one journal record, the
-pending buffer holds the encoded frame bytes, and a respawn resets the
-ring and re-writes the unacknowledged tail — so ``journal_dir`` /
-``restart_workers`` semantics are transport-independent.
+acknowledged fix lost, none applied twice.
 """
 
 from __future__ import annotations
@@ -70,25 +48,15 @@ from typing import Callable, Dict, Iterable, List, Sequence
 from ..model.trajectory import CompressedTrajectory
 from .core import DeviceId, Fix, StreamEngine
 from .sanitize import FeedReport, SanitizePolicy
-from .transport import (
-    FRAME_HEADER_BYTES,
-    MIN_RING_BYTES,
-    RingWriter,
-    TransportError,
-    encode_payloads,
-)
 
 __all__ = [
     "ShardCrashError",
     "ShardedStreamEngine",
-    "TransportError",
     "shard_of",
 ]
 
-TRANSPORTS = ("pipe", "shm")
-
-#: Cap on retained per-frame ack-latency samples (enough for any bench
-#: run; pathological frame counts stop sampling, not ingesting).
+#: Cap on retained per-batch ack-latency samples (enough for any bench
+#: run; pathological batch counts stop sampling, not ingesting).
 _MAX_LATENCY_SAMPLES = 65536
 
 
@@ -138,27 +106,12 @@ def _shard_journal_path(journal_dir, shard: int) -> str:
 class _ShardStats:
     """Per-shard transport counters (parent-side, cheap to update)."""
 
-    __slots__ = (
-        "frames",
-        "fixes",
-        "bytes",
-        "acks",
-        "ring_waits",
-        "window_waits",
-        "ack_wait_seconds",
-        "max_in_flight",
-        "ack_lat",
-    )
+    __slots__ = ("frames", "fixes", "acks", "ack_lat")
 
     def __init__(self) -> None:
         self.frames = 0
         self.fixes = 0
-        self.bytes = 0
         self.acks = 0
-        self.ring_waits = 0
-        self.window_waits = 0
-        self.ack_wait_seconds = 0.0
-        self.max_in_flight = 0
         self.ack_lat: List[float] = []
 
 
@@ -175,8 +128,6 @@ def _worker_main(
     sink_factory,
     shard,
     geodetic,
-    transport="pipe",
-    ring_name=None,
     journal_dir=None,
     journal_fsync=False,
     supervised=False,
@@ -198,15 +149,10 @@ def _worker_main(
     GeoStreamEngine`: the pushed coordinate columns are degrees, each
     device's UTM zone is selected worker-side from its first fix, and the
     projection work parallelizes with the compression.  Both engines share
-    the ``push_columns`` / ``push_grouped`` shapes, so the message
-    protocol is engine-agnostic.
+    the ``push_columns`` shape, so the message protocol is engine-agnostic.
 
-    Message tags: ``push`` carries pickled columns (pipe transport),
-    ``frame`` names a region of the shared ring (shm transport) that is
-    decoded in place and fed through ``push_grouped``; every ``frame`` is
-    acknowledged with ``("ack", seq)`` once applied (after its journal
-    frame landed, when journaling) — the ack releases the parent's ring
-    space and, under supervision, prunes the pending re-drive buffer.
+    Message tags: ``push`` carries one pickled columnar batch, ``finish``
+    seals the shard and returns its results.
 
     With ``journal_dir`` the worker's engine journals into its own
     per-shard directory.  ``supervised`` switches the protocol to
@@ -219,7 +165,6 @@ def _worker_main(
     failure: str | None = None
     sink = None
     engine = None
-    reader = None
     try:
         if sink_factory is not None:
             sink = sink_factory(shard)
@@ -255,10 +200,6 @@ def _worker_main(
                 )
         else:
             engine = engine_cls(compressor_factory, sink=sink, **engine_kwargs)
-        if transport == "shm":
-            from .transport import RingReader
-
-            reader = RingReader(ring_name)
     except Exception as exc:
         failure = f"{type(exc).__name__}: {exc}"
         engine = None
@@ -286,18 +227,6 @@ def _worker_main(
                     # journals write-ahead, so even a batch that raised
                     # mid-ingest is journaled before the error).
                     conn.send(("ack", seq))
-            elif tag == "frame":
-                seq, offset, length = message[1], message[2], message[3]
-                if failure is None:
-                    try:
-                        groups = reader.read(seq, offset, length)
-                        engine.push_grouped(groups)
-                    except Exception as exc:
-                        failure = f"{type(exc).__name__}: {exc}"
-                # Always acked — even after a failure the parent's ring
-                # accounting needs the space back (the drain contract the
-                # pipe transport meets by consuming pushes).
-                conn.send(("ack", seq))
             elif tag == "finish":
                 if failure is None:
                     try:
@@ -321,8 +250,6 @@ def _worker_main(
     except EOFError:
         pass
     finally:
-        if reader is not None:
-            reader.close()
         if sink is not None:
             try:
                 sink.close()
@@ -351,20 +278,9 @@ class ShardedStreamEngine:
     difference from the in-process engine: this engine is one-shot — its
     workers exit at :meth:`finish_all`, so pushing afterwards raises
     ``RuntimeError`` (the in-process engine treats ``finish_all`` as a
-    checkpoint and keeps accepting batches).  Use as a context manager, or
+    checkpoint and keeps accepting batches).  :meth:`close` finishes the
+    engine the same way, minus the results.  Use as a context manager, or
     call :meth:`finish_all` / :meth:`close` explicitly.
-
-    ``transport`` selects the data plane: ``"shm"`` ships frames through
-    per-worker shared-memory rings of ``ring_bytes`` each with up to
-    ``ack_window`` frames in flight per shard (see the module docstring);
-    ``"pipe"`` (default) pickles columns over the control pipe.  The shm
-    transport requires str/int/bytes device ids — the same contract the
-    write-ahead journal imposes — and raises :class:`TransportError` for
-    anything else.  Output is bit-identical across transports; one caveat:
-    a single batch larger than ``ring_bytes`` is split into several
-    frames, and each frame is its own engine push, which batch-boundary
-    policies (``idle_timeout``) observe.  Size the ring above the batch
-    size (the defaults are comfortable) if that matters.
 
     ``journal_dir`` makes every worker journal its accepted batches into
     ``journal_dir/shard-%04d`` (see :class:`~repro.engine.journal.
@@ -393,9 +309,6 @@ class ShardedStreamEngine:
         journal_dir: str | os.PathLike | None = None,
         journal_fsync: bool = False,
         restart_workers: int = 0,
-        transport: str = "pipe",
-        ring_bytes: int = 4 << 20,
-        ack_window: int = 32,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -408,19 +321,6 @@ class ShardedStreamEngine:
                 "restart_workers requires journal_dir: a respawned worker "
                 "rebuilds its state from its shard journal"
             )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
-        if transport == "shm":
-            if ring_bytes < MIN_RING_BYTES:
-                raise ValueError(
-                    f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes!r}"
-                )
-            if ack_window < 1:
-                raise ValueError(
-                    f"ack_window must be >= 1, got {ack_window!r}"
-                )
         ctx = mp_context if mp_context is not None else multiprocessing.get_context()
         # SanitizePolicy is a frozen scalar dataclass, so it ships to the
         # workers in the start-up pickle like the compressor factory.
@@ -431,8 +331,6 @@ class ShardedStreamEngine:
             "policy": policy,
         }
         self.workers = workers
-        self.transport = transport
-        self._ack_window = ack_window
         self._conns = []
         self._procs = []
         self._finished = False
@@ -452,38 +350,24 @@ class ShardedStreamEngine:
             journal_fsync,
         )
         self._ctx = ctx
-        #: Device ids routed to each shard this run (the blast radius a
-        #: :class:`ShardCrashError` reports).
-        self._shard_devices: List[set] = [set() for _ in range(workers)]
         #: device id → shard index, filled on first sight: crc32 hashing
-        #: (and, for shm, id encoding) happens once per device, not once
-        #: per batch.  Bounded by the number of distinct devices pushed.
+        #: happens once per device, not once per batch.  Bounded by the
+        #: number of distinct devices pushed; also the blast radius a
+        #: :class:`ShardCrashError` reports.
         self._route: Dict[DeviceId, int] = {}
-        self._id_cache: Dict[DeviceId, bytes] | None = (
-            {} if transport == "shm" else None
-        )
         #: Supervised mode: per-shard batch sequence, unacknowledged
-        #: batches (seq → columns for pipe, seq → frame bytes for shm,
-        #: insertion-ordered), and the journal seq each worker started
-        #: from (maps parent seq ↔ journal seq).  The shm transport
-        #: sequences frames in both modes (acks drive its ring
-        #: accounting); the pending buffer still exists only under
-        #: supervision.
+        #: batches (seq → columns, insertion-ordered), and the journal seq
+        #: each worker started from (maps parent seq ↔ journal seq).
         self._seq = [0] * workers
         self._pending: List[Dict[int, tuple]] | None = (
             [{} for _ in range(workers)] if self._supervised else None
         )
         self._shard_base = [0] * workers
-        self._rings: List[RingWriter | None] | None = None
         self._stats = [_ShardStats() for _ in range(workers)]
         self._send_times: List[Dict[int, float]] = [
             {} for _ in range(workers)
         ]
         try:
-            if transport == "shm":
-                self._rings = [None] * workers
-                for shard in range(workers):
-                    self._rings[shard] = RingWriter(ring_bytes)
             for shard in range(workers):
                 self._conns.append(None)
                 self._procs.append(None)
@@ -504,9 +388,6 @@ class ShardedStreamEngine:
             journal_dir,
             journal_fsync,
         ) = self._spawn_args
-        ring_name = None
-        if self._rings is not None and self._rings[shard] is not None:
-            ring_name = self._rings[shard].name
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -517,8 +398,6 @@ class ShardedStreamEngine:
                 sink_factory,
                 shard,
                 geodetic,
-                self.transport,
-                ring_name,
                 journal_dir,
                 journal_fsync,
                 self._supervised,
@@ -544,9 +423,17 @@ class ShardedStreamEngine:
                 f"sharded ingestion failed: worker {shard} sent "
                 f"{tag!r} instead of the ready handshake",
                 shard=shard,
-                device_ids=tuple(sorted(self._shard_devices[shard], key=str)),
+                device_ids=self._devices_of(shard),
             )
         return base
+
+    def _devices_of(self, shard: int) -> tuple:
+        """Device ids routed to ``shard`` this run, sorted by ``str``."""
+        return tuple(
+            sorted(
+                (d for d, s in self._route.items() if s == shard), key=str
+            )
+        )
 
     def _crash_error(self, shard: int, cause=None) -> ShardCrashError:
         proc = self._procs[shard]
@@ -554,7 +441,7 @@ class ShardedStreamEngine:
         if proc is not None:
             proc.join(timeout=5.0)
             exitcode = proc.exitcode
-        devices = sorted(self._shard_devices[shard], key=str)
+        devices = self._devices_of(shard)
         sample = ", ".join(repr(d) for d in devices[:8])
         if len(devices) > 8:
             sample += f", ... ({len(devices) - 8} more)"
@@ -565,7 +452,7 @@ class ShardedStreamEngine:
             f"{len(devices)} device(s) routed to it: [{sample}]",
             shard=shard,
             exitcode=exitcode,
-            device_ids=tuple(devices),
+            device_ids=devices,
         )
 
     # -- ingestion -----------------------------------------------------------
@@ -576,31 +463,9 @@ class ShardedStreamEngine:
         Groups by shard directly from the tuple stream (one pass), the same
         way :meth:`StreamEngine.push_batch` groups by device.
         """
+        self._ensure_not_finished()
         workers = self.workers
         route = self._route
-        if self.transport == "shm":
-            shards: Dict[int, Dict[DeviceId, tuple]] = {}
-            groups: Dict[DeviceId, tuple] = {}
-            n = 0
-            for device_id, t, x, y in fixes:
-                cols = groups.get(device_id)
-                if cols is None:
-                    shard = route.get(device_id)
-                    if shard is None:
-                        shard = route[device_id] = shard_of(device_id, workers)
-                    cols = groups[device_id] = (
-                        array("d"),
-                        array("d"),
-                        array("d"),
-                    )
-                    shards.setdefault(shard, {})[device_id] = cols
-                    self._shard_devices[shard].add(device_id)
-                cols[0].append(t)
-                cols[1].append(x)
-                cols[2].append(y)
-                n += 1
-            self._send_frames(shards)
-            return n
         shards_cols: Dict[int, tuple[list, array, array, array]] = {}
         get = shards_cols.get
         n = 0
@@ -628,6 +493,7 @@ class ShardedStreamEngine:
         ys: Sequence[float],
     ) -> int:
         """Route a columnar interleaved batch to the shards."""
+        self._ensure_not_finished()
         n = len(device_ids)
         if not (len(ts) == len(xs) == len(ys) == n):
             raise ValueError(
@@ -636,32 +502,6 @@ class ShardedStreamEngine:
             )
         workers = self.workers
         route = self._route
-        if self.transport == "shm":
-            # Group per device up front (first-appearance order — the same
-            # order the workers' own regrouping would produce), so the
-            # frame encoder writes columns straight into the ring and the
-            # worker skips regrouping entirely.
-            shards: Dict[int, Dict[DeviceId, tuple]] = {}
-            groups: Dict[DeviceId, tuple] = {}
-            for i in range(n):
-                device_id = device_ids[i]
-                cols = groups.get(device_id)
-                if cols is None:
-                    shard = route.get(device_id)
-                    if shard is None:
-                        shard = route[device_id] = shard_of(device_id, workers)
-                    cols = groups[device_id] = (
-                        array("d"),
-                        array("d"),
-                        array("d"),
-                    )
-                    shards.setdefault(shard, {})[device_id] = cols
-                    self._shard_devices[shard].add(device_id)
-                cols[0].append(ts[i])
-                cols[1].append(xs[i])
-                cols[2].append(ys[i])
-            self._send_frames(shards)
-            return n
         shards_cols: Dict[int, tuple[list, array, array, array]] = {}
         get = shards_cols.get
         for i in range(n):
@@ -686,19 +526,15 @@ class ShardedStreamEngine:
             # calling code), not a data-plane failure a caller should
             # route on — a deliberately untyped error.
             # repro: ignore[RA04] lifecycle misuse by the caller, not a routable data-plane failure
-            raise RuntimeError("finish_all() already called")
-
-    # -- pipe data plane -----------------------------------------------------
+            raise RuntimeError("finish_all() or close() already called")
 
     def _send_shards(self, shards) -> None:
-        self._ensure_not_finished()
         if self._supervised:
             # Drain every shard's acks first so the reply pipes never
             # back up no matter how batches distribute across shards.
             for shard in range(self.workers):
                 self._drain_queued_acks(shard)
         for shard, (ids, ts, xs, ys) in shards.items():
-            self._shard_devices[shard].update(ids)
             stats = self._stats[shard]
             stats.frames += 1
             stats.fixes += len(ids)
@@ -719,97 +555,19 @@ class ShardedStreamEngine:
                 except (BrokenPipeError, OSError) as exc:
                     raise self._crash_error(shard, cause=exc) from exc
 
-    # -- shm data plane ------------------------------------------------------
-
-    def _send_frames(self, shards: Dict[int, Dict[DeviceId, tuple]]) -> None:
-        self._ensure_not_finished()
-        for shard in range(self.workers):
-            self._drain_queued_acks(shard)
-        for shard, groups in shards.items():
-            stats = self._stats[shard]
-            ring = self._rings[shard]
-            payloads = encode_payloads(
-                groups, ring.max_payload, self._id_cache
-            )
-            # Counted only after the whole batch encoded — a rejected id
-            # (TransportError) ships nothing, so it must account nothing.
-            stats.fixes += sum(len(cols[0]) for cols in groups.values())
-            for payload in payloads:
-                seq = self._seq[shard] + 1
-                self._seq[shard] = seq
-                if self._pending is not None:
-                    self._pending[shard][seq] = payload
-                self._write_and_doorbell(shard, seq, payload)
-
-    def _write_and_doorbell(self, shard: int, seq: int, payload) -> None:
-        """Write one frame into the shard's ring (blocking on acks for ring
-        or window space) and ring the doorbell.
-
-        If a supervised restart fires while waiting, the restart has
-        already re-driven every pending frame — this one included — so
-        the method returns without shipping a duplicate.
-        """
-        ring = self._rings[shard]
-        stats = self._stats[shard]
-        epoch = self._restarts[shard]
-        while True:
-            if ring.in_flight >= self._ack_window:
-                stats.window_waits += 1
-                self._await_ack(shard)
-            else:
-                offset = ring.try_write(seq, payload)
-                if offset is not None:
-                    break
-                stats.ring_waits += 1
-                self._await_ack(shard)
-            if self._restarts[shard] != epoch:
-                return
-        stats.frames += 1
-        stats.bytes += FRAME_HEADER_BYTES + len(payload)
-        if ring.in_flight > stats.max_in_flight:
-            stats.max_in_flight = ring.in_flight
-        self._send_times[shard][seq] = time.perf_counter()
-        try:
-            self._conns[shard].send(
-                ("frame", seq, offset, FRAME_HEADER_BYTES + len(payload))
-            )
-        except (BrokenPipeError, OSError):
-            self._restart_shard(shard)
-
-    def _await_ack(self, shard: int) -> None:
-        """Block until the shard acknowledges a frame (or dies, in which
-        case the supervised path restarts it and the unsupervised path
-        raises :class:`ShardCrashError`)."""
-        conn = self._conns[shard]
-        t0 = time.perf_counter()
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            self._restart_shard(shard)
-            return
-        self._stats[shard].ack_wait_seconds += time.perf_counter() - t0
-        if message[0] == "ack":
-            self._on_ack(shard, message[1])
-
-    # -- shared ack plumbing -------------------------------------------------
+    # -- acks and restarts ---------------------------------------------------
 
     def _on_ack(self, shard: int, seq: int) -> None:
-        """One ack: free ring space, prune pending, record latency."""
+        """One ack: prune pending, record latency."""
         stats = self._stats[shard]
         stats.acks += 1
-        if self._rings is not None and self._rings[shard] is not None:
-            self._rings[shard].release(seq)
-        if self._pending is not None:
-            self._pending[shard].pop(seq, None)
+        self._pending[shard].pop(seq, None)
         sent = self._send_times[shard].pop(seq, None)
         if sent is not None and len(stats.ack_lat) < _MAX_LATENCY_SAMPLES:
             stats.ack_lat.append(time.perf_counter() - sent)
 
     def _drain_queued_acks(self, shard: int) -> None:
-        """Apply any queued acks without blocking (no-op for the
-        unsupervised pipe transport, which never acks)."""
-        if not (self._supervised or self.transport == "shm"):
-            return
+        """Apply a supervised shard's queued acks without blocking."""
         conn = self._conns[shard]
         try:
             while conn.poll(0):
@@ -839,29 +597,17 @@ class ShardedStreamEngine:
             self._conns[shard].close()
         except OSError:
             pass
-        if self._rings is not None and self._rings[shard] is not None:
-            # The ring's unacked contents died with the worker; pending
-            # frames are re-written below, so the ring restarts empty.
-            self._rings[shard].reset()
-            self._send_times[shard].clear()
         self._spawn_worker(shard, recover=True)
         journal_seq = self._handshake(shard)
         delivered = journal_seq - self._shard_base[shard]
         pending = self._pending[shard]
         for seq in [s for s in pending if s <= delivered]:
             del pending[seq]
-        if self.transport == "shm":
-            epoch = self._restarts[shard]
-            for seq, payload in sorted(pending.items()):
-                self._write_and_doorbell(shard, seq, payload)
-                if self._restarts[shard] != epoch:
-                    return  # a nested restart re-drove the rest
-        else:
-            for seq, (ids, ts, xs, ys) in sorted(pending.items()):
-                try:
-                    self._conns[shard].send(("push", seq, ids, ts, xs, ys))
-                except (BrokenPipeError, OSError):
-                    return self._restart_shard(shard)
+        for seq, (ids, ts, xs, ys) in sorted(pending.items()):
+            try:
+                self._conns[shard].send(("push", seq, ids, ts, xs, ys))
+            except (BrokenPipeError, OSError):
+                return self._restart_shard(shard)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -931,16 +677,14 @@ class ShardedStreamEngine:
         """Per-shard data-plane counters (valid after :meth:`finish_all`,
         and live during ingest).
 
-        Every transport reports ``frames`` (messages sent), ``fixes``
+        Each shard reports ``frames`` (push messages sent), ``fixes``
         routed, ``utilization`` (this shard's share of all routed fixes —
-        the load-balance view), ``restarts``, and — whenever acks flow
-        (shm always, pipe under supervision) — ``acks`` plus
-        send-to-ack latency percentiles in microseconds.  The shm
-        transport adds ring accounting: ``bytes`` through the ring,
-        ``max_in_flight`` frames, and how often the parent blocked on a
-        full ring (``ring_waits``) or an exhausted ack window
-        (``window_waits``), with the total blocked wall in
-        ``ack_wait_seconds``.
+        the load-balance view), ``restarts``, and — under supervision,
+        where every push is acknowledged — ``acks`` plus send-to-ack
+        latency percentiles in microseconds.  ``bytes``, ``ring_waits``,
+        ``window_waits`` and ``ack_wait_seconds`` are always zero: the
+        pipe pickles columns without byte accounting and never blocks on
+        ring space, and the keys stay so existing readers keep working.
         """
         total_fixes = sum(s.fixes for s in self._stats)
         out = []
@@ -949,15 +693,13 @@ class ShardedStreamEngine:
             out.append(
                 {
                     "shard": shard,
-                    "transport": self.transport,
                     "frames": s.frames,
                     "fixes": s.fixes,
-                    "bytes": s.bytes,
+                    "bytes": 0,
                     "acks": s.acks,
-                    "max_in_flight": s.max_in_flight,
-                    "ring_waits": s.ring_waits,
-                    "window_waits": s.window_waits,
-                    "ack_wait_seconds": round(s.ack_wait_seconds, 6),
+                    "ring_waits": 0,
+                    "window_waits": 0,
+                    "ack_wait_seconds": 0.0,
                     "restarts": self._restarts[shard],
                     "utilization": (
                         round(s.fixes / total_fixes, 4) if total_fixes else 0.0
@@ -984,7 +726,10 @@ class ShardedStreamEngine:
         return dict(self._device_reports)
 
     def close(self) -> None:
-        """Tear the workers down (idempotent; called by ``finish_all``)."""
+        """Tear the workers down and finish the engine (idempotent; called
+        by ``finish_all``).  Later pushes or ``finish_all`` raise
+        ``RuntimeError``."""
+        self._finished = True
         for conn in self._conns:
             if conn is None:
                 continue
@@ -1000,11 +745,6 @@ class ShardedStreamEngine:
             proc.join(timeout=5.0)
         self._conns = []
         self._procs = []
-        if self._rings is not None:
-            for ring in self._rings:
-                if ring is not None:
-                    ring.close(unlink=True)
-            self._rings = None
 
     def __enter__(self) -> "ShardedStreamEngine":
         return self

@@ -481,18 +481,17 @@ def run_sharded_transport_check(
     workers: int = 2,
     kill: bool = True,
 ) -> dict:
-    """Digest-pin the sharded transports against single-process output.
+    """Digest-pin the supervised sharded engine against single-process
+    output across a worker crash.
 
-    Runs the same seeded fleet three ways — single-process
+    Runs the same seeded fleet twice — single-process
     :class:`~repro.engine.core.StreamEngine`, then a supervised
-    :class:`~repro.engine.sharded.ShardedStreamEngine` per transport
-    (``pipe`` and ``shm``), each with a worker SIGKILLed mid-stream and
-    rebuilt from its shard journal — and asserts every run's
-    :func:`~repro.bench.fleet.fleet_digest` is identical.  A digest split
-    between the transports, or between either transport and the
-    single-process reference, is exactly the drift the CI smoke exists to
-    catch.  Returns a report with the digest, per-transport restart
-    counts, and per-transport transport stats.
+    :class:`~repro.engine.sharded.ShardedStreamEngine` with a worker
+    SIGKILLed mid-stream and rebuilt from its shard journal — and asserts
+    both runs' :func:`~repro.bench.fleet.fleet_digest` are identical.  A
+    digest split is exactly the drift the CI smoke exists to catch.
+    Returns a report with the digest, the restart count, and the
+    per-shard transport stats.
     """
     import time as _time
 
@@ -508,45 +507,35 @@ def run_sharded_transport_check(
         engine.push_columns(*batch)
     reference = fleet_digest(engine.finish_all())
 
-    report = {
+    half = max(1, len(batches) // 2)
+    sharded = ShardedStreamEngine(
+        factory,
+        workers=workers,
+        journal_dir=base / "wal",
+        restart_workers=2,
+    )
+    try:
+        for batch in batches[:half]:
+            sharded.push_columns(*batch)
+        if kill:
+            os.kill(sharded._procs[seed % workers].pid, signal.SIGKILL)
+            _time.sleep(0.3)
+        for batch in batches[half:]:
+            sharded.push_columns(*batch)
+        digest = fleet_digest(sharded.finish_all())
+    finally:
+        sharded.close()
+    restarts = sum(sharded._restarts)
+    assert not kill or restarts >= 1, "worker was killed but never restarted"
+    assert digest == reference, (
+        f"sharded digest {digest} diverged from single-process {reference}"
+    )
+    return {
         "digest": reference,
         "killed": bool(kill),
-        "transports": {},
+        "restarts": restarts,
+        "stats": sharded.transport_stats(),
     }
-    half = max(1, len(batches) // 2)
-    for transport in ("pipe", "shm"):
-        sharded = ShardedStreamEngine(
-            factory,
-            workers=workers,
-            transport=transport,
-            journal_dir=base / f"wal-{transport}",
-            restart_workers=2,
-        )
-        try:
-            for batch in batches[:half]:
-                sharded.push_columns(*batch)
-            if kill:
-                os.kill(sharded._procs[seed % workers].pid, signal.SIGKILL)
-                _time.sleep(0.3)
-            for batch in batches[half:]:
-                sharded.push_columns(*batch)
-            digest = fleet_digest(sharded.finish_all())
-        finally:
-            sharded.close()
-        restarts = sum(sharded._restarts)
-        assert not kill or restarts >= 1, (
-            f"{transport}: worker was killed but never restarted"
-        )
-        assert digest == reference, (
-            f"{transport}: sharded digest {digest} diverged from "
-            f"single-process {reference}"
-        )
-        report["transports"][transport] = {
-            "digest": digest,
-            "restarts": restarts,
-            "stats": sharded.transport_stats(),
-        }
-    return report
 
 
 # -- CLI: the CI crash-injection smoke ---------------------------------------
@@ -562,8 +551,8 @@ def main(argv=None) -> int:
         description=(
             "Bounded crash-injection smoke: kill-9 ingest (batch-boundary "
             "and mid-write), ENOSPC on the store manifest, a journal "
-            "replay digest check, and a sharded pipe/shm transport "
-            "kill-restart digest pin per seed."
+            "replay digest check, and a sharded-engine kill-restart "
+            "digest pin per seed."
         ),
     )
     parser.add_argument(
@@ -618,8 +607,8 @@ def main(argv=None) -> int:
                     f"{report['generation_after']} "
                     f"digest={report['digest'][:12]}"
                 )
-            # Sharded transports: pipe and shm, each kill-9'd mid-stream
-            # and journal-replayed, digest-pinned to single-process.
+            # Sharded engine: a worker kill-9'd mid-stream and
+            # journal-replayed, digest-pinned to single-process.
             try:
                 report = run_sharded_transport_check(
                     Path(tmp) / "sharded", seed=seed
@@ -628,12 +617,10 @@ def main(argv=None) -> int:
                 failures += 1
                 print(f"FAIL seed={seed} sharded-transport: {exc}")
             else:
-                restarts = {
-                    t: r["restarts"] for t, r in report["transports"].items()
-                }
                 print(
                     f"ok seed={seed} sharded-transport: "
-                    f"digest={report['digest'][:12]} restarts={restarts}"
+                    f"digest={report['digest'][:12]} "
+                    f"restarts={report['restarts']}"
                 )
             # ENOSPC on the manifest commit: the tmp file must not leak.
             from ..storage.store import TrajectoryStore

@@ -299,9 +299,8 @@ class TestFleetBench:
             6, 60, epsilon=10.0, seed=3, batch_size=64, worker_counts=(2,)
         )
         assert [r.mode for r in records] == [
-            "per-device", "engine", "sharded-2", "sharded-2-shm"
+            "per-device", "engine", "sharded-2"
         ]
-        assert [r.transport for r in records] == ["", "", "pipe", "shm"]
         digests = {r.key_digest for r in records}
         assert len(digests) == 1  # determinism across every mode
         for r in records:
@@ -309,9 +308,9 @@ class TestFleetBench:
             assert r.fixes_per_sec > 0.0
             assert r.trajectories == 6
             json.dumps(r.to_json())
-        shm = records[-1]
-        assert shm.shards and len(shm.shards) == 2
-        assert sum(s["fixes"] for s in shm.shards) == 360
+        sharded = records[-1]
+        assert sharded.shards and len(sharded.shards) == 2
+        assert sum(s["fixes"] for s in sharded.shards) == 360
 
     def test_fleet_digest_sensitive_to_output(self):
         from repro.bench import fleet_digest

@@ -306,8 +306,55 @@ class TestShardedStreamEngine:
             sharded.finish_all()
 
     def test_worker_count_validation(self):
-        with pytest.raises(ValueError):
-            ShardedStreamEngine(functools.partial(_fast_factory, 10.0), workers=0)
+        factory = functools.partial(_fast_factory, 10.0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ShardedStreamEngine(factory, workers=0)
+        with pytest.raises(ValueError, match="restart_workers must be >= 0"):
+            ShardedStreamEngine(factory, workers=2, restart_workers=-1)
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_transport_stats_shape(self, fleet, tmp_path, supervised):
+        ids, cols = fleet
+        kwargs = (
+            {"journal_dir": tmp_path / "wal", "restart_workers": 1}
+            if supervised
+            else {}
+        )
+        factory = functools.partial(_fast_factory, 10.0)
+        with ShardedStreamEngine(factory, workers=2, **kwargs) as sharded:
+            for batch in iter_fix_batches(ids, cols, 777):
+                sharded.push_columns(*batch)
+            sharded.finish_all()
+        stats = sharded.transport_stats()
+        assert [s["shard"] for s in stats] == [0, 1]
+        assert sum(s["fixes"] for s in stats) == len(ids)
+        assert abs(sum(s["utilization"] for s in stats) - 1.0) < 0.01
+        for s in stats:
+            assert s["frames"] > 0
+            assert s["restarts"] == 0
+            # The pipe never blocks on ring space and keeps no byte count.
+            assert s["bytes"] == 0
+            assert s["ring_waits"] == 0 and s["window_waits"] == 0
+            assert s["ack_wait_seconds"] == 0.0
+            if supervised:
+                # Every supervised push is acknowledged once journaled.
+                assert s["acks"] == s["frames"]
+                assert s["ack_us_p99"] >= s["ack_us_p50"] > 0.0
+            else:
+                assert s["acks"] == 0
+                assert s["ack_us_p99"] == s["ack_us_p50"] == 0.0
+
+    def test_use_after_close_rejected(self):
+        factory = functools.partial(_fast_factory, 10.0)
+        with ShardedStreamEngine(factory, workers=2) as sharded:
+            sharded.push_batch([("a", 0.0, 0.0, 0.0), ("b", 0.0, 1.0, 1.0)])
+        sharded.close()  # idempotent after the with block closed it
+        with pytest.raises(RuntimeError, match="already called"):
+            sharded.push_columns(["a"], [1.0], [0.0], [0.0])
+        with pytest.raises(RuntimeError, match="already called"):
+            sharded.push_batch([("a", 1.0, 0.0, 0.0)])
+        with pytest.raises(RuntimeError, match="already called"):
+            sharded.finish_all()
 
 
 class TestEngineCLI:
