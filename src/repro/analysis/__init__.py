@@ -2,12 +2,12 @@
 
 The reproduction's load-bearing guarantees — bit-identical digests on
 every ingest path, crash safety through the :mod:`repro.fsio` seam, and
-a safe shared-memory lifecycle across the sharded transport — are
-invariants of the *codebase*, not of any single function, so unit tests
-can only catch their violations after the fact.  This package enforces
-them mechanically at review time: a pure-stdlib (``ast`` + ``tokenize``)
-linter with one rule per contract, each grounded in a bug this repo has
-actually shipped and fixed.
+typed errors on the data plane — are invariants of the *codebase*,
+not of any single function, so unit tests can only catch their
+violations after the fact.  This package enforces them mechanically
+at review time: a pure-stdlib (``ast`` + ``tokenize``) linter with one
+rule per contract, each grounded in a bug this repo has actually
+shipped and fixed.
 
 Run it as::
 

@@ -30,7 +30,7 @@ def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="AST-based linter for this repo's determinism, "
-        "durability, and transport contracts.",
+        "durability, and data-plane contracts.",
     )
     parser.add_argument(
         "paths",

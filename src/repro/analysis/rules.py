@@ -10,8 +10,6 @@ RA04      Data-plane failures raise the typed taxonomy, not bare
           ``RuntimeError``/``ValueError``.
 RA05      Payload floats move through ``struct``/memcpy — never through a
           string round-trip.
-RA06      ``SharedMemory`` attaches go through the tracker-suppressing
-          helper in ``transport.py``.
 ========  ====================================================================
 
 Scoping is by path segment (``module.in_dir("engine")``), not by import
@@ -26,7 +24,7 @@ from typing import Iterator, Optional, Set
 
 from .core import Finding, SourceModule, call_name, rule
 
-__all__ = ["RA01", "RA02", "RA03", "RA04", "RA05", "RA06"]
+__all__ = ["RA01", "RA02", "RA03", "RA04", "RA05"]
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -445,7 +443,7 @@ _TAXONOMY_HINT = (
 def _ra04_in_scope(module: SourceModule) -> bool:
     if module.in_dir("testing"):
         return False
-    return module.in_dir("engine", "storage") or module.filename == "transport.py"
+    return module.in_dir("engine", "storage")
 
 
 @rule(
@@ -520,7 +518,7 @@ def _is_string_producing(node: ast.AST) -> bool:
 
 
 def _ra05_in_scope(module: SourceModule) -> bool:
-    return module.filename in {"codec.py", "journal.py", "transport.py"}
+    return module.filename in {"codec.py", "journal.py"}
 
 
 @rule(
@@ -545,66 +543,3 @@ def RA05(module: SourceModule) -> Iterator[Finding]:
                     "float(<string>) re-parse in a payload path — floats "
                     "must move through struct/memcpy to stay bit-exact",
                 )
-
-
-# -- RA06: shared-memory lifecycle -------------------------------------------
-
-_ATTACH_HELPER = "attach_shared_memory"
-
-
-def _in_attach_helper(module: SourceModule, node: ast.AST) -> bool:
-    func = module.enclosing_function(node)
-    return (
-        func is not None
-        and func.name == _ATTACH_HELPER
-        and module.filename == "transport.py"
-    )
-
-
-@rule(
-    "RA06",
-    "SharedMemory attaches go through transport.attach_shared_memory",
-    "CPython registers a segment with the resource tracker on attach as "
-    "well as create (bpo-38119); an unsuppressed worker attach lets the "
-    "tracker erase the parent's unlink entry and leak /dev/shm segments. "
-    "transport.attach_shared_memory() is the one audited workaround.",
-)
-def RA06(module: SourceModule) -> Iterator[Finding]:
-    for node in module.walk():
-        if isinstance(node, ast.Call):
-            name = call_name(node.func)
-            if name is None or name.split(".")[-1] != "SharedMemory":
-                continue
-            create = None
-            for kw in node.keywords:
-                if kw.arg == "create":
-                    if isinstance(kw.value, ast.Constant):
-                        create = bool(kw.value.value)
-                    break
-            if create is True:
-                continue  # creation registers correctly; only attach is unsafe
-            if _in_attach_helper(module, node):
-                continue
-            yield module.finding(
-                "RA06",
-                node,
-                "SharedMemory attach outside transport.attach_shared_memory() "
-                "re-registers the segment with the shared resource tracker "
-                "(bpo-38119) and can erase the owner's cleanup entry",
-            )
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for t in targets:
-                tname = call_name(t) if isinstance(t, ast.Attribute) else None
-                if tname == "resource_tracker.register" and not _in_attach_helper(
-                    module, node
-                ):
-                    yield module.finding(
-                        "RA06",
-                        node,
-                        "monkeypatching resource_tracker.register outside "
-                        "transport.attach_shared_memory() — route the attach "
-                        "through the one audited helper",
-                    )

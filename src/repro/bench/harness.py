@@ -1,23 +1,22 @@
 """Timing harness: throughput, per-push latency, and correctness audits.
 
 Each (workload, algorithm) pair is measured in three passes over the same
-point stream:
+point stream.  All three drive the compressor's one decision kernel, each
+through a different entry point:
 
 1. **Throughput pass** — one :meth:`push_many` batch plus ``finish()``,
-   timed wall-clock.  ``points_per_sec = n / wall`` is the headline number;
-   it exercises the allocation-lean batched object path.
+   timed wall-clock.  ``points_per_sec = n / wall`` is the headline number.
 2. **Columnar pass** — the same stream pre-shredded into
    :class:`~repro.model.columns.TrajectoryColumns` and fed through one
    :meth:`push_xyt` call plus ``finish()``.  ``columnar_points_per_sec``
-   measures the zero-object struct-of-arrays path; the harness raises
-   :class:`BenchError` if its key points differ from the object path's.
+   skips the ``push_many`` adapter's shredding, so ``columnar_speedup``
+   is that adapter's cost; the harness raises :class:`BenchError` if the
+   key points differ from the ``push_many`` pass's.
 3. **Latency pass** — a fresh compressor driven point-by-point with a
    ``perf_counter`` bracket around every ``push`` call, yielding the
    per-push latency percentiles (p50/p90/p99/max) and the peak number of
-   points the compressor retained.  This pass exercises the per-point path
-   and doubles as a production equivalence check: the harness raises
-   :class:`BenchError` if it disagrees with the batched pass on the key
-   points.
+   points the compressor retained.  The harness raises :class:`BenchError`
+   if it disagrees with the batched pass on the key points.
 
 The harness also audits the error bound on every run — an error-bounded
 compressor whose output deviates beyond ``epsilon`` is a correctness bug,
@@ -76,12 +75,12 @@ class BenchRecord:
     algorithm: str
     points: int
     epsilon: float
-    points_per_sec: float  #: batched path: n / (push_many + finish) wall
+    points_per_sec: float  #: n / (push_many + finish) wall
     wall_seconds: float  #: the wall time behind ``points_per_sec``
     columnar_points_per_sec: float  #: columnar path: n / (push_xyt + finish)
     columnar_wall_seconds: float  #: the wall time behind the columnar figure
     columnar_speedup: float  #: columnar_points_per_sec / points_per_sec
-    push_us_p50: float  #: per-point path push() latency percentiles (µs)
+    push_us_p50: float  #: push() latency percentiles (µs)
     push_us_p90: float
     push_us_p99: float
     push_us_max: float
@@ -139,7 +138,7 @@ def bench_compressor(
     Both throughput passes run ``repeats`` times on fresh compressors and
     record the fastest wall (best-of-N, the standard defence against
     scheduler/GC spikes — a single slow pass would otherwise flip the
-    object-vs-columnar comparison on a noisy host).  Outputs must be
+    push_many-vs-push_xyt comparison on a noisy host).  Outputs must be
     identical across repeats, which every compressor's determinism
     guarantees.
     """
@@ -147,7 +146,7 @@ def bench_compressor(
         raise ValueError(f"repeats must be >= 1, got {repeats!r}")
     n = len(points)
 
-    # Pass 1: throughput through the batched fast path.
+    # Pass 1: throughput through push_many.
     wall = math.inf
     finish_wall = math.inf
     compressed = None
@@ -170,9 +169,9 @@ def bench_compressor(
                 f"disagree on key points (non-deterministic compressor?)"
             )
 
-    # Pass 2: throughput through the zero-object columnar path.  The
-    # columns are shredded outside the timed region, mirroring how the
-    # object pass receives pre-built points.
+    # Pass 2: throughput through push_xyt.  The columns are shredded
+    # outside the timed region, mirroring how the push_many pass receives
+    # pre-built points.
     cols = TrajectoryColumns.from_points(points)
     col_wall = math.inf
     col_compressed = None
@@ -198,12 +197,12 @@ def bench_compressor(
             f"{workload_name}/{compressed.algorithm}: push_xyt() and "
             f"push_many() produced different key points "
             f"(columnar {len(col_compressed)} keys, digest "
-            f"{key_point_digest(col_compressed.key_points)} vs object "
+            f"{key_point_digest(col_compressed.key_points)} vs push_many "
             f"{len(compressed)} keys, digest "
             f"{key_point_digest(compressed.key_points)})"
         )
 
-    # Pass 3: per-push latency through the per-point path.
+    # Pass 3: per-push latency through push().
     slow = make()
     latencies: List[float] = []
     record_latency = latencies.append

@@ -9,29 +9,33 @@ caller's point of view:
 
 ``StreamingCompressor`` (protocol)
     ``push(point) -> PushResult`` folds one point into the stream and
-    reports any key points committed by that arrival; ``finish()`` seals the
-    stream and returns the :class:`~repro.model.trajectory.CompressedTrajectory`.
-    ``CompressorBase`` additionally offers ``push_many(points)``, a batched
-    fast path with bit-identical output that skips per-point result
-    allocation — the right call when nobody inspects individual arrivals.
+    reports any key points committed by that arrival; ``push_many(points)``
+    and ``push_xyt(ts, xs, ys)`` fold whole batches (objects or flat
+    columns) in without per-point results; ``finish()`` seals the stream
+    and returns the :class:`~repro.model.trajectory.CompressedTrajectory`.
 
 ``CompressorBase`` (ABC)
-    The shared machinery: timestamp-monotonicity validation, key-point
-    emission, push counting, lifecycle (``reset`` / one-shot ``finish``),
-    the ``compress()`` convenience driver and the ``buffered_points``
+    One decision kernel, three adapters.  A subclass implements a single
+    columnar kernel, ``_ingest_xyt``, that decides every fix, plus
+    ``_flush`` for the end of stream.  ``push``, ``push_many`` and
+    ``push_xyt`` only check the lifecycle and shape their input into
+    columns for that kernel, so every entry point yields the same key
+    points by construction.  The base also owns key-point emission, push
+    counting, stats, lifecycle (``reset`` / one-shot ``finish``), the
+    ``compress()`` convenience driver and the ``buffered_points``
     instrumentation used by the memory-behaviour tests.
 
 ``PointBuffer``
-    A small buffer with high-water-mark tracking, used by the algorithms
-    that legitimately buffer (BQS's exact-deviation fallback, the batch
-    baselines) so their memory behaviour is observable.
+    A point buffer with high-water-mark tracking: the segment buffer behind
+    BQS's ``debug_audit`` reference mode.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..geometry.metrics import DistanceMetric
@@ -63,13 +67,6 @@ class Decision:
     THRESHOLD = "threshold"  #: scalar threshold test (dead reckoning)
     PERIODIC = "periodic"  #: fixed-rate decision (uniform sampling)
     BATCH = "batch"  #: deferred to finish() (batch baselines)
-
-    #: .. deprecated:: PR 2
-    #:    ``EXACT`` conflated the accept and commit outcomes of the exact
-    #:    fallback; use :attr:`EXACT_ACCEPT` / :attr:`EXACT_COMMIT`.  Kept so
-    #:    external stats readers comparing against the old label keep
-    #:    importing, but no compressor records it any more.
-    EXACT = "exact"
 
 
 @dataclass(frozen=True)
@@ -142,9 +139,8 @@ class StreamingCompressor(Protocol):
 class PointBuffer:
     """A point buffer that remembers its high-water mark.
 
-    Algorithms that buffer (BQS fallback, batch baselines) route their
-    storage through this class so tests — and the evaluation harness — can
-    report peak memory behaviour per algorithm.
+    BQS's ``debug_audit`` mode keeps the open segment's points here, so the
+    brute-force cross-check has them and tests can read the buffer's peak.
     """
 
     __slots__ = ("_points", "peak")
@@ -177,13 +173,31 @@ class PointBuffer:
         return self._points[idx]
 
 
-class CompressorBase(abc.ABC):
-    """Shared push/finish machinery for online compressors.
+#: Points per kernel call when :meth:`CompressorBase.push_many` shreds an
+#: iterable into columns: large enough that the kernel's per-call set-up
+#: vanishes, small enough that an iterator input is never held whole.
+_PUSH_MANY_CHUNK = 4096
 
-    Subclasses implement :meth:`_ingest` (per-point decision, returning any
-    key points committed by that arrival plus the decision label) and
-    :meth:`_flush` (key points emitted at end of stream).  The base class
-    owns stream validation, key-point ordering, counting and lifecycle.
+
+def out_of_order(last_t: float, t: float) -> ValueError:
+    """The error every kernel raises for a timestamp that goes backwards.
+
+    Kernels test ``not (t >= last_t)`` rather than ``t < last_t`` so that a
+    NaN timestamp is rejected too.
+    """
+    return ValueError(
+        f"points must be non-decreasing in time ({last_t} then {t})"
+    )
+
+
+class CompressorBase(abc.ABC):
+    """Shared machinery for online compressors: one kernel, three adapters.
+
+    Subclasses implement :meth:`_ingest_xyt`, the columnar decision kernel
+    that folds a batch of fixes into the stream, and :meth:`_flush`, the key
+    points emitted at end of stream.  :meth:`push`, :meth:`push_many` and
+    :meth:`push_xyt` are thin adapters over the kernel; the base class owns
+    key-point ordering, counting, stats and lifecycle.
     """
 
     #: Short identifier; subclasses override.
@@ -203,6 +217,10 @@ class CompressorBase(abc.ABC):
         self._last_t = -math.inf
         self._finished = False
         self._stats: dict[str, int] = {}
+        #: Label of the last decision :meth:`_fold_stats` counted.
+        self._decided_by = ""
+        #: Last key point :meth:`_emit` dropped as a duplicate.
+        self._dropped_key: PlanePoint | None = None
 
     # -- public interface ---------------------------------------------------
 
@@ -235,47 +253,49 @@ class CompressorBase(abc.ABC):
         return dict(self._stats)
 
     def push(self, point: PlanePoint) -> PushResult:
-        if self._finished:
-            raise RuntimeError(
-                f"{self.name}: finish() already called; reset() to reuse"
-            )
+        """Fold one point into the stream and report what it decided.
+
+        A one-fix batch through the kernel.  ``new_key_points`` holds the
+        key point this arrival committed, even one that :meth:`_emit`
+        dropped as a duplicate of the previous key point.
+        """
+        self._check_open()
         if not isinstance(point, PlanePoint):
             raise TypeError(f"push expects PlanePoint, got {type(point).__name__}")
-        if not (point.t >= self._last_t):
-            raise ValueError(
-                f"points must be non-decreasing in time "
-                f"({self._last_t} then {point.t})"
-            )
-        self._last_t = point.t
+        keys = self._key_points
+        before = len(keys)
         index = self._count
-        self._count += 1
-        committed, decided_by = self._ingest(point)
-        for key in committed:
-            self._emit(key)
-        self._stats[decided_by] = self._stats.get(decided_by, 0) + 1
-        return PushResult(index, tuple(committed), decided_by)
+        self._dropped_key = None
+        self._ingest_xyt((point.t,), (point.x,), (point.y,), (point,))
+        committed = tuple(keys[before:])
+        if not committed and self._dropped_key is not None:
+            committed = (self._dropped_key,)
+        return PushResult(index, committed, self._decided_by)
 
     def push_many(self, points: Iterable[PlanePoint]) -> int:
-        """Batched fast path: fold a whole chunk of points into the stream.
+        """Fold a batch of points into the stream; return how many were consumed.
 
-        Produces *bit-identical* key points and stats to an equivalent loop
-        of :meth:`push` calls (the property tests pin this down), but skips
-        the per-point costs that only matter to callers inspecting each
-        arrival: no :class:`PushResult` is allocated, no per-point
-        ``isinstance`` check runs, and subclasses may bump plain integer
-        slot counters that are folded into the stats dict once per batch
-        (:meth:`_ingest_many`) rather than per point.  Timestamp
-        monotonicity is still enforced on every point.
-
-        Returns the number of points consumed.  Use :meth:`push` when the
-        per-point decision or committed key points are needed as they
-        happen.
+        Same key points and stats as a loop of :meth:`push` calls, without
+        a :class:`PushResult` or an ``isinstance`` check per point: the
+        points reach the kernel as columns, in chunks, so an iterator input
+        is never held whole.  Elements are trusted to be
+        :class:`~repro.model.point.PlanePoint` instances; a wrong type fails
+        with an ``AttributeError`` before its chunk is consumed.  Timestamp
+        monotonicity is enforced on every point, and a violation consumes
+        the valid prefix before raising ``ValueError``.
         """
-        if self._finished:
-            raise RuntimeError(
-                f"{self.name}: finish() already called; reset() to reuse"
+        self._check_open()
+        ingest = self._ingest_xyt
+        it = iter(points)
+        consumed = 0
+        while chunk := list(islice(it, _PUSH_MANY_CHUNK)):
+            consumed += ingest(
+                [p.t for p in chunk],
+                [p.x for p in chunk],
+                [p.y for p in chunk],
+                chunk,
             )
-        return self._ingest_many(points)
+        return consumed
 
     def push_xyt(
         self,
@@ -285,28 +305,21 @@ class CompressorBase(abc.ABC):
     ) -> int:
         """Columnar batched entry point: fold flat ``(ts, xs, ys)`` columns in.
 
-        The struct-of-arrays twin of :meth:`push_many` — the natural fit for
-        :class:`~repro.model.columns.TrajectoryColumns` (pass ``cols.ts,
-        cols.xs, cols.ys``) or any parallel float sequences.  Output is
-        *bit-identical* to pushing ``PlanePoint(x, y, t)`` objects one at a
-        time, but hot-path subclasses override :meth:`_ingest_xyt` to read
-        the floats straight out of the columns and materialize points only
-        for committed key points, so no per-fix object is ever built.
+        The natural fit for :class:`~repro.model.columns.TrajectoryColumns`
+        (pass ``cols.ts, cols.xs, cols.ys``) or any parallel float
+        sequences; the columns go to the kernel as they are.  The kernel
+        builds a ``PlanePoint(x, y, t)`` only for a fix it commits as a key
+        point or keeps in state, so key points from this entry point carry
+        ``z = 0``.
 
-        Like :meth:`push_many`, values are trusted: the columnar overrides
-        never check coordinates for finiteness on ingest (a non-finite
-        coordinate surfaces as a ``ValueError`` only if its fix is
-        materialized as a key point), while paths that materialize every
-        fix — the default fallback below and BQS's ``debug_audit`` mode —
-        validate each one at construction, exactly like a ``push`` loop.
-        Timestamp monotonicity is always enforced on every fix, and a
-        mid-batch violation consumes the valid prefix before raising.
-        Returns the number of fixes consumed.
+        Values are trusted: a non-finite coordinate surfaces as a
+        ``ValueError`` only if its fix is materialized as a point (BQS's
+        ``debug_audit`` mode materializes every fix it admits).  Timestamp
+        monotonicity is always enforced on every fix, and a mid-batch
+        violation consumes the valid prefix before raising.  Returns the
+        number of fixes consumed.
         """
-        if self._finished:
-            raise RuntimeError(
-                f"{self.name}: finish() already called; reset() to reuse"
-            )
+        self._check_open()
         n = len(ts)
         if len(xs) != n or len(ys) != n:
             raise ValueError(
@@ -341,12 +354,11 @@ class CompressorBase(abc.ABC):
     def compress(self, points: Iterable[PlanePoint]) -> CompressedTrajectory:
         """One-pass convenience driver: reset, push everything, finish.
 
-        Routed through :meth:`push_many`, so callers get the batched fast
-        path for free; the output is identical to a per-point push loop.
-        Like ``push_many`` — and unlike ``push`` — elements are trusted to
-        be :class:`~repro.model.point.PlanePoint` instances; a wrong type
-        fails with an ``AttributeError`` rather than ``push``'s
-        ``TypeError``.
+        Routed through :meth:`push_many`, so the output is identical to a
+        per-point push loop.  Like ``push_many`` — and unlike ``push`` —
+        elements are trusted to be :class:`~repro.model.point.PlanePoint`
+        instances; a wrong type fails with an ``AttributeError`` rather
+        than ``push``'s ``TypeError``.
         """
         self.reset()
         self.push_many(points)
@@ -355,102 +367,26 @@ class CompressorBase(abc.ABC):
     # -- subclass contract --------------------------------------------------
 
     @abc.abstractmethod
-    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        """Process one point; return (committed key points, decision label)."""
-
-    def _ingest_many(self, points: Iterable[PlanePoint]) -> int:
-        """Batch ingest behind :meth:`push_many`; returns points consumed.
-
-        The default drives :meth:`_ingest` in a tight loop with the stream
-        bookkeeping hoisted into locals.  Hot-path subclasses override this
-        with a loop that skips the per-point ``(committed, label)`` tuple
-        entirely and counts decisions in integer slots — the contract is
-        only that key points, counts and stats end up exactly as a
-        :meth:`push` loop would leave them, even when a point mid-batch
-        raises.
-        """
-        ingest = self._ingest
-        emit = self._emit
-        stats = self._stats
-        last_t = self._last_t
-        count = start = self._count
-        try:
-            for point in points:
-                t = point.t
-                if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
-                last_t = t
-                count += 1
-                committed, decided_by = ingest(point)
-                for key in committed:
-                    emit(key)
-                stats[decided_by] = stats.get(decided_by, 0) + 1
-        finally:
-            self._last_t = last_t
-            self._count = count
-        return count - start
-
     def _ingest_xyt(
         self,
         ts: Sequence[float],
         xs: Sequence[float],
         ys: Sequence[float],
+        points: Sequence[PlanePoint] | None = None,
     ) -> int:
-        """Columnar ingest behind :meth:`push_xyt`; returns fixes consumed.
+        """The decision kernel: fold a columnar batch in; return fixes consumed.
 
-        The default materializes a ``PlanePoint`` per fix and reuses
-        :meth:`_ingest_many` — correct for every subclass, columnar-fast for
-        none.  Hot-path subclasses override this with a loop over the raw
-        floats; the contract is the same as :meth:`_ingest_many`: key
-        points, counts and stats must end up exactly as a :meth:`push` loop
-        over the materialized points would leave them, even when a fix
-        mid-batch raises.
+        Every entry point ends here.  The kernel reads each fix as floats
+        from the columns.  ``points``, when given, holds each fix's source
+        :class:`PlanePoint` (the object adapters pass it): a fix the kernel
+        commits as a key point or keeps in state is taken from it, so its
+        ``z`` survives; without it such a fix is built as
+        ``PlanePoint(x, y, t)``.  Contract: raise :func:`out_of_order` on
+        the first fix whose timestamp goes backwards, after consuming the
+        fixes before it; leave key points, ``_count``, ``_last_t`` and
+        stats consistent even when a fix raises; count decisions through
+        :meth:`_fold_stats`.
         """
-        return self._ingest_many(map(PlanePoint, xs, ys, ts))
-
-    def _run_batch_stepped(
-        self,
-        points: Iterable[PlanePoint],
-        step,
-        labels: tuple[str, ...],
-    ) -> int:
-        """The slot-counter batch loop shared by hot-path subclasses.
-
-        ``step(point)`` returns ``(key_point_or_None, decision_slot)`` with
-        the slot indexing into ``labels``; the counters are folded into the
-        stats dict once, in the ``finally`` block, so stats stay consistent
-        with a :meth:`push` loop even when a point mid-batch raises.
-        """
-        emit = self._emit
-        counters = [0] * len(labels)
-        last_t = self._last_t
-        count = start = self._count
-        try:
-            for point in points:
-                t = point.t
-                if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
-                last_t = t
-                count += 1
-                key, slot = step(point)
-                counters[slot] += 1
-                if key is not None:
-                    emit(key)
-        finally:
-            self._last_t = last_t
-            self._count = count
-            stats = self._stats
-            for slot, n in enumerate(counters):
-                if n:
-                    label = labels[slot]
-                    stats[label] = stats.get(label, 0) + n
-        return count - start
 
     @abc.abstractmethod
     def _flush(self) -> list[PlanePoint]:
@@ -466,6 +402,25 @@ class CompressorBase(abc.ABC):
 
     # -- helpers ------------------------------------------------------------
 
+    def _check_open(self) -> None:
+        if self._finished:
+            raise RuntimeError(
+                f"{self.name}: finish() already called; reset() to reuse"
+            )
+
+    def _fold_stats(self, counts: Sequence[int], labels: Sequence[str]) -> None:
+        """Add a kernel call's per-decision counts to the stats counters.
+
+        Also records the last label with a non-zero count in
+        ``_decided_by``: for the one-fix batches :meth:`push` runs, that is
+        the fix's decision.
+        """
+        stats = self._stats
+        for label, n in zip(labels, counts):
+            if n:
+                stats[label] = stats.get(label, 0) + n
+                self._decided_by = label
+
     def _emit(self, point: PlanePoint) -> None:
         """Append a key point, dropping exact consecutive duplicates."""
         if self._key_points:
@@ -475,5 +430,6 @@ class CompressorBase(abc.ABC):
                 and last.y == point.y
                 and last.t == point.t
             ):
+                self._dropped_key = point
                 return
         self._key_points.append(point)

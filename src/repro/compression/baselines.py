@@ -32,12 +32,12 @@ Two online baselines and two batch references, all behind the same
     on the chord's line), so a TD-TR output is error-bounded under the
     paper's metric as well.
 
-Both batch baselines buffer **columns, not objects**: pushed fixes land in
-flat ``array('d')`` columns (~32 bytes per fix instead of a ``PlanePoint``
-each), the split scans read floats straight out of the columns, and
-``PlanePoint`` objects are materialized only for the kept key points at
-``finish()`` time.  The columnar ``push_xyt`` entry point therefore
-bulk-extends the buffer without building a single intermediate object.
+Every compressor here decides its fixes in one columnar kernel
+(``_ingest_xyt``) that all three entry points share.  Both batch baselines
+buffer **columns, not objects**: pushed fixes land in flat ``array('d')``
+columns (~32 bytes per fix instead of a ``PlanePoint`` each), the split
+scans read floats straight out of the columns, and ``PlanePoint`` objects
+are materialized only for the kept key points at ``finish()`` time.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Sequence
 from ..geometry.metrics import DistanceMetric, deviation as metric_deviation
 from ..model.point import PlanePoint, plane_points_from_flat
 from ..model.reconstruction import synchronized_deviation_xyt
-from .base import CompressorBase, Decision
+from .base import CompressorBase, Decision, out_of_order
 
 __all__ = [
     "UniformSampler",
@@ -76,27 +76,16 @@ class UniformSampler(CompressorBase):
         self._since_key = 0
         self._tail: PlanePoint | None = None
 
-    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        first = self._tail is None
-        self._tail = point
-        if first:
-            self._since_key = 0
-            return [point], Decision.INIT
-        self._since_key += 1
-        if self._since_key >= self.period:
-            self._since_key = 0
-            return [point], Decision.PERIODIC
-        return [], Decision.PERIODIC
-
-    def _ingest_xyt(self, ts, xs, ys) -> int:
-        """Columnar ingest: materialize only the every-``period``-th keepers."""
+    def _ingest_xyt(self, ts, xs, ys, points=None) -> int:
+        """Sampling kernel: builds a point only for the every-``period``-th
+        keeper (taken from ``points`` when given)."""
         emit = self._emit
         period = self.period
         since = self._since_key
         tail_obj = self._tail  # non-None means in sync with the floats
-        tx = ty = tt = tz = 0.0
+        tx = ty = tt = 0.0
         if tail_obj is not None:
-            tx, ty, tt, tz = tail_obj.x, tail_obj.y, tail_obj.t, tail_obj.z
+            tx, ty, tt = tail_obj.x, tail_obj.y, tail_obj.t
         started = tail_obj is not None
         last_t = self._last_t
         count = start = self._count
@@ -104,48 +93,42 @@ class UniformSampler(CompressorBase):
         try:
             for t, x, y in zip(ts, xs, ys):
                 if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
+                    raise out_of_order(last_t, t)
                 last_t = t
                 count += 1
-                if not started:
-                    started = True
-                    since = 0
-                    point = PlanePoint(x, y, t)
-                    tail_obj = point
-                    tx, ty, tt, tz = x, y, t, 0.0
-                    emit(point)
-                    init_n += 1
-                    continue
-                periodic_n += 1
-                since += 1
-                tx, ty, tt, tz = x, y, t, 0.0
-                if since >= period:
-                    since = 0
-                    point = PlanePoint(x, y, t)
-                    tail_obj = point
-                    emit(point)
+                tx = x
+                ty = y
+                tt = t
+                if started:
+                    periodic_n += 1
+                    since += 1
+                    if since < period:
+                        tail_obj = None
+                        continue
                 else:
-                    tail_obj = None
+                    started = True
+                    init_n += 1
+                since = 0
+                tail_obj = (
+                    PlanePoint(x, y, t)
+                    if points is None
+                    else points[count - start - 1]
+                )
+                emit(tail_obj)
         finally:
             self._last_t = last_t
             self._count = count
             self._since_key = since
-            if started:
-                self._tail = (
-                    tail_obj
-                    if tail_obj is not None
-                    else PlanePoint(tx, ty, tt, tz)
+            if tail_obj is None and started:
+                tail_obj = (
+                    PlanePoint(tx, ty, tt)
+                    if points is None
+                    else points[count - start - 1]
                 )
-            stats = self._stats
-            if init_n:
-                stats[Decision.INIT] = stats.get(Decision.INIT, 0) + init_n
-            if periodic_n:
-                stats[Decision.PERIODIC] = (
-                    stats.get(Decision.PERIODIC, 0) + periodic_n
-                )
+            self._tail = tail_obj
+            self._fold_stats(
+                (init_n, periodic_n), (Decision.INIT, Decision.PERIODIC)
+            )
         return count - start
 
     def _flush(self) -> list[PlanePoint]:
@@ -177,10 +160,8 @@ class DeadReckoningCompressor(CompressorBase):
         super().__init__(epsilon, metric)
         self.safety_factor = float(safety_factor)
         self._threshold = epsilon * safety_factor
-        # Both ingest paths compare squared distances (saves a hypot call
-        # per fix); sharing the exact same expression keeps push() and
-        # push_xyt() bit-identical even for fixes within an ulp of the
-        # threshold.
+        # The kernel compares squared distances (saves a hypot call per
+        # fix).
         self._threshold_sq = self._threshold * self._threshold
         self._reset()
 
@@ -189,74 +170,40 @@ class DeadReckoningCompressor(CompressorBase):
         self._velocity: tuple[float, float] | None = None
         self._prev: PlanePoint | None = None
 
-    def _set_velocity(self, origin: PlanePoint, nxt: PlanePoint) -> None:
-        dt = nxt.t - origin.t
-        if dt > 0.0:
-            self._velocity = ((nxt.x - origin.x) / dt, (nxt.y - origin.y) / dt)
-        else:
-            # Co-timestamped fix: no usable velocity, predict stationarity.
-            self._velocity = (0.0, 0.0)
-
-    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        if self._key is None:
-            self._key = point
-            self._prev = point
-            return [point], Decision.INIT
-        if self._velocity is None:
-            self._set_velocity(self._key, point)
-            self._prev = point
-            return [], Decision.ACCEPT
-        dt = point.t - self._key.t
-        vx, vy = self._velocity
-        dx = point.x - (self._key.x + vx * dt)
-        dy = point.y - (self._key.y + vy * dt)
-        if dx * dx + dy * dy <= self._threshold_sq:
-            self._prev = point
-            return [], Decision.THRESHOLD
-        prev = self._prev
-        assert prev is not None
-        self._key = prev
-        self._set_velocity(prev, point)
-        self._prev = point
-        return [prev], Decision.THRESHOLD
-
-    def _ingest_xyt(self, ts, xs, ys) -> int:
-        """Columnar ingest: the prediction test runs on bare floats and key
-        points are *batch-materialized*.
+    def _ingest_xyt(self, ts, xs, ys, points=None) -> int:
+        """Dead-reckoning kernel: the prediction test runs on bare floats and
+        key points are *batch-materialized*.
 
         Dead reckoning commits a key point for a large fraction of its fixes
         (half the stream at vehicle-like workloads), so a per-breach
-        ``PlanePoint`` construction plus an ``_emit`` call used to dominate
-        the columnar loop and made it slower than the object path, which
-        gets its point objects for free.  Breaches therefore only append
-        four floats to a flat pending list; the whole batch of committed
+        ``PlanePoint`` construction plus an ``_emit`` call would dominate
+        the loop.  Without ``points``, breaches therefore only append four
+        floats to a flat pending list, and the whole batch of committed
         key points is materialized once, in the ``finally`` block, through
         one :func:`~repro.model.point.plane_points_from_flat` sweep
-        (``__new__`` + slot writes behind a batch finiteness screen).
+        (``__new__`` + slot writes behind a batch finiteness screen); with
+        ``points``, the committed source points are appended as they are.
         ``_emit``'s consecutive-duplicate drop is replicated on the raw
-        floats before a key is appended, so key points, stats and counts
-        stay bit-identical to a ``push`` loop.
+        floats before a key is appended.
         """
-        # The same squared-distance predicate _ingest evaluates — shared
-        # expression, so the paths agree on every fix bit for bit.
         threshold_sq = self._threshold_sq
         key_obj = self._key  # rematerialized at batch end if a breach moved it
-        kx = ky = kt = kz = 0.0
+        kx = ky = kt = 0.0
         if key_obj is not None:
-            kx, ky, kt, kz = key_obj.x, key_obj.y, key_obj.t, key_obj.z
+            kx, ky, kt = key_obj.x, key_obj.y, key_obj.t
         velocity = self._velocity
         has_vel = velocity is not None
         vx = vy = 0.0
         if has_vel:
             vx, vy = velocity
         prev_obj = self._prev  # non-None means in sync with the floats
-        px = py = pt = pz = 0.0
+        px = py = pt = 0.0
         if prev_obj is not None:
-            px, py, pt, pz = prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
-        # Pending committed key points, interleaved ``x, y, t, z`` in one
-        # flat list; materialized in one sweep at batch end.  Duplicate
-        # suppression (what _emit does) runs here on floats, seeded from
-        # the last already-emitted key point.
+            px, py, pt = prev_obj.x, prev_obj.y, prev_obj.t
+        # Pending committed key points of a columnar call, interleaved
+        # ``x, y, t, z`` in one flat list; materialized in one sweep at
+        # batch end.  Duplicate suppression (what _emit does) runs here on
+        # floats, seeded from the last already-emitted key point.
         pending: list = []
         push_pending = pending.extend
         key_points = self._key_points
@@ -274,10 +221,7 @@ class DeadReckoningCompressor(CompressorBase):
         try:
             for t, x, y in zip(ts, xs, ys):
                 if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
+                    raise out_of_order(last_t, t)
                 last_t = t
                 count += 1
                 if has_vel:  # the steady-state path, checked first
@@ -288,83 +232,79 @@ class DeadReckoningCompressor(CompressorBase):
                         px = x
                         py = y
                         pt = t
-                        pz = 0.0
                         prev_obj = None
                         continue
                     # Breach: the previous fix becomes a key point and the
                     # new prediction origin.
+                    key_obj = prev_obj
+                    if key_obj is None and points is not None:
+                        key_obj = points[count - start - 2]
                     if not (have_tail and ex == px and ey == py and et == pt):
-                        push_pending((px, py, pt, pz))
+                        if points is None:
+                            z = 0.0 if key_obj is None else key_obj.z
+                            push_pending((px, py, pt, z))
+                        else:
+                            key_points.append(key_obj)
                         ex, ey, et = px, py, pt
                         have_tail = True
-                    key_obj = prev_obj  # None unless prev predates the batch
-                    kx, ky, kt, kz = px, py, pt, pz
-                    dt = t - pt
-                    if dt > 0.0:
-                        vx = (x - px) / dt
-                        vy = (y - py) / dt
                     else:
-                        vx = 0.0
-                        vy = 0.0
+                        self._dropped_key = key_obj
+                    kx, ky, kt = px, py, pt
+                    dt = t - pt
+                elif started:
+                    # Second point of a segment: estimate the velocity.
+                    has_vel = True
+                    accept_n += 1
+                    dt = t - kt
+                else:
+                    started = True
+                    key_obj = None
+                    kx, ky, kt = x, y, t
+                    if points is None:
+                        push_pending((x, y, t, 0.0))
+                    else:
+                        key_points.append(points[count - start - 1])
+                    ex, ey, et = x, y, t
+                    have_tail = True
+                    init_n += 1
                     px = x
                     py = y
                     pt = t
-                    pz = 0.0
                     prev_obj = None
                     continue
-                if not started:
-                    started = True
-                    key_obj = None
-                    kx, ky, kt, kz = x, y, t, 0.0
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    if not (have_tail and ex == x and ey == y and et == t):
-                        push_pending((x, y, t, 0.0))
-                        ex, ey, et = x, y, t
-                        have_tail = True
-                    init_n += 1
-                    continue
-                # Second point of a segment: estimate the velocity.
-                dt = t - kt
                 if dt > 0.0:
                     vx = (x - kx) / dt
                     vy = (y - ky) / dt
                 else:
+                    # Co-timestamped fix: no usable velocity, predict
+                    # stationarity.
                     vx = 0.0
                     vy = 0.0
-                has_vel = True
-                px, py, pt, pz = x, y, t, 0.0
+                px = x
+                py = y
+                pt = t
                 prev_obj = None
-                accept_n += 1
         finally:
             self._last_t = last_t
             self._count = count
             if pending:
                 key_points.extend(plane_points_from_flat(pending))
-            if not started:
-                self._key = None
-            else:
+            if started:
                 self._key = (
-                    key_obj
-                    if key_obj is not None
-                    else PlanePoint(kx, ky, kt, kz)
+                    key_obj if key_obj is not None else PlanePoint(kx, ky, kt)
                 )
-                self._prev = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
-                )
+                if prev_obj is None:
+                    prev_obj = (
+                        PlanePoint(px, py, pt)
+                        if points is None
+                        else points[count - start - 1]
+                    )
+                self._prev = prev_obj
             self._velocity = (vx, vy) if has_vel else None
-            stats = self._stats
-            if init_n:
-                stats[Decision.INIT] = stats.get(Decision.INIT, 0) + init_n
-            if accept_n:
-                stats[Decision.ACCEPT] = stats.get(Decision.ACCEPT, 0) + accept_n
-            threshold_n = (count - start) - init_n - accept_n
-            if threshold_n:
-                stats[Decision.THRESHOLD] = (
-                    stats.get(Decision.THRESHOLD, 0) + threshold_n
-                )
+            self._fold_stats(
+                (init_n, accept_n, (count - start) - init_n - accept_n),
+                (Decision.INIT, Decision.ACCEPT, Decision.THRESHOLD),
+            )
         return count - start
 
     def _flush(self) -> list[PlanePoint]:
@@ -377,8 +317,8 @@ class _BatchCompressor(CompressorBase):
     Fixes are buffered as four flat ``array('d')`` columns (t, x, y, z) and
     the split-at-worst-point selection reads floats straight from them;
     ``PlanePoint`` objects exist only for the key points returned by
-    ``finish()``.  ``z`` is carried so object-path pushes round-trip their
-    third coordinate through the buffer unchanged.
+    ``finish()``.  ``z`` is carried so pushed points round-trip their third
+    coordinate through the buffer unchanged.
     """
 
     def _reset(self) -> None:
@@ -391,19 +331,12 @@ class _BatchCompressor(CompressorBase):
     def buffered_points(self) -> int:
         return len(self._ts)
 
-    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        self._ts.append(point.t)
-        self._xs.append(point.x)
-        self._ys.append(point.y)
-        self._zs.append(point.z)
-        return [], Decision.BATCH
-
-    def _ingest_xyt(self, ts, xs, ys) -> int:
-        """Columnar ingest: bulk-extend the buffer, no objects at all.
+    def _ingest_xyt(self, ts, xs, ys, points=None) -> int:
+        """Buffering kernel: bulk-extend the columns, no objects at all.
 
         The valid (time-monotone) prefix is consumed before a violation
-        raises, matching the per-point loop's partial-consumption
-        behaviour.
+        raises.  ``z`` is buffered from ``points`` when given, so key
+        points from the object entry points keep it.
         """
         last_t = self._last_t
         n_ok = 0
@@ -415,18 +348,20 @@ class _BatchCompressor(CompressorBase):
             last_t = t
             n_ok += 1
         if n_ok:
-            self._ts.extend(ts[:n_ok] if bad is not None else ts)
-            self._xs.extend(xs[:n_ok] if bad is not None else xs)
-            self._ys.extend(ys[:n_ok] if bad is not None else ys)
-            self._zs.extend(repeat(0.0, n_ok))
+            if bad is not None:
+                ts, xs, ys = ts[:n_ok], xs[:n_ok], ys[:n_ok]
+            self._ts.extend(ts)
+            self._xs.extend(xs)
+            self._ys.extend(ys)
+            if points is None:
+                self._zs.extend(repeat(0.0, n_ok))
+            else:
+                self._zs.extend([p.z for p in points[:n_ok]])
             self._last_t = last_t
             self._count += n_ok
-            stats = self._stats
-            stats[Decision.BATCH] = stats.get(Decision.BATCH, 0) + n_ok
+            self._fold_stats((n_ok,), (Decision.BATCH,))
         if bad is not None:
-            raise ValueError(
-                f"points must be non-decreasing in time ({last_t} then {bad})"
-            )
+            raise out_of_order(last_t, bad)
         return n_ok
 
     def _flush(self) -> list[PlanePoint]:

@@ -45,9 +45,11 @@ per-point-cost claim of the paper):
 * a segment split reuses the four quadrant structures in place rather than
   reallocating them.
 
-A full point buffer survives only behind the ``debug_audit`` flag, where
-every exact-fallback decision is cross-checked against a brute-force scan
-of the buffered segment points (and the test suite keeps that mode honest).
+One kernel, :meth:`BQSCompressor._ingest_xyt`, decides every fix for all
+three entry points (``push``, ``push_many``, ``push_xyt``).  A full point
+buffer survives only behind the ``debug_audit`` flag, where the kernel also
+cross-checks every exact-fallback decision against a brute-force scan of
+the buffered segment points (and the test suite keeps that mode honest).
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ from ..geometry.planar import (
     wedge_box_polygon,
 )
 from ..model.point import PlanePoint
-from .base import CompressorBase, Decision, PointBuffer
+from .base import CompressorBase, Decision, PointBuffer, out_of_order
 
 __all__ = ["QuadrantState", "BQSCompressor", "quadrant_index", "polar_angle"]
 
 _TWO_PI = 2.0 * math.pi
 
-# Integer decision slots used by the batched ingest loops; the tuple maps a
-# slot back to the public Decision label when stats are folded in.
+# Integer decision slots counted by the kernel; the tuple maps a slot back
+# to the public Decision label when stats are folded in.
 _D_INIT = 0
 _D_ACCEPT = 1
 _D_UPPER = 2
@@ -495,158 +497,22 @@ class BQSCompressor(CompressorBase):
 
     # -- algorithm ----------------------------------------------------------
 
-    def _step(self, point: PlanePoint) -> tuple[PlanePoint | None, int]:
-        """One arrival: returns (committed key point or None, decision slot).
+    def _ingest_xyt(self, ts, xs, ys, points=None) -> int:
+        """The BQS decision kernel, behind every entry point.
 
-        Shared verbatim by the per-point and batched paths so their outputs
-        are bit-identical by construction.
+        The stream state is held in local floats for the batch: the anchor
+        is read once (it only changes on a split), and the previous fix is
+        tracked as ``(x, y, t)`` floats and turned into a point — taken
+        from ``points`` when given, built otherwise — only when a split
+        commits it or the batch ends.  The bound-decided paths build no
+        per-fix object.  In ``debug_audit`` mode every admitted fix also
+        lands in the audit buffer, and each exact decision is
+        cross-checked against it.
         """
-        anchor = self._anchor
-        if anchor is None:
-            self._anchor = point
-            self._prev = point
-            return point, _D_INIT
-
-        if self._interior == 0:
-            # First point after the anchor: no interior points yet, the
-            # two-point segment is trivially within bound.
-            self._admit(point)
-            return None, _D_ACCEPT
-
-        dx = point.x - anchor.x
-        dy = point.y - anchor.y
-        denom = math.hypot(dx, dy)
-        if denom == 0.0:
-            return self._step_degenerate(point)
-        scaled_eps = self._epsilon * denom
-
-        quadrants = self._quadrants
-        within = True
-        for q in quadrants:
-            if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
-                # Any single quadrant over tolerance settles the question,
-                # so stop scanning — same verdict as comparing the max.
-                within = False
-                break
-        if within:
-            # Accept paths reuse the (dx, dy, denom) already computed for
-            # the bound checks; the anchor is unchanged.
-            self._admit_rel(point, dx, dy, denom)
-            return None, _D_UPPER
-
-        lower = 0.0
-        for q in quadrants:
-            if q.count:
-                c = q.lower_cross(dx, dy)
-                if c > lower:
-                    lower = c
-        if lower > scaled_eps:
-            key = self._split()
-            self._admit(point)
-            return key, _D_LOWER
-
-        # epsilon falls between the bounds: exact deviation over the
-        # per-quadrant hull vertices (convexity makes the hull scan exact).
-        exact = 0.0
-        for q in quadrants:
-            if q.count:
-                c = q.exact_cross(dx, dy)
-                if c > exact:
-                    exact = c
-        if self._buffer is not None:
-            self._audit_exact(anchor, dx, dy, exact)
-        if exact <= scaled_eps:
-            self._admit_rel(point, dx, dy, denom)
-            return None, _D_EXACT_ACCEPT
-        key = self._split()
-        self._admit(point)
-        return key, _D_EXACT_COMMIT
-
-    def _step_degenerate(self, point: PlanePoint) -> tuple[PlanePoint | None, int]:
-        """Arrival coinciding with the anchor: the path line collapses to a
-        point and every deviation becomes a plain distance to the anchor."""
-        direction: Vec2 = (0.0, 0.0)
-        eps = self._epsilon
-        quadrants = self._quadrants
-        upper = 0.0
-        for q in quadrants:
-            if q.count:
-                b = q.upper_bound(direction)
-                if b > upper:
-                    upper = b
-        if upper <= eps:
-            self._admit(point)
-            return None, _D_UPPER
-        lower = 0.0
-        for q in quadrants:
-            if q.count:
-                b = q.lower_bound(direction)
-                if b > lower:
-                    lower = b
-        if lower > eps:
-            key = self._split()
-            self._admit(point)
-            return key, _D_LOWER
-        exact = 0.0
-        for q in quadrants:
-            if q.count:
-                d = q.hull_max_deviation(direction)
-                if d > exact:
-                    exact = d
-        if exact <= eps:
-            self._admit(point)
-            return None, _D_EXACT_ACCEPT
-        key = self._split()
-        self._admit(point)
-        return key, _D_EXACT_COMMIT
-
-    def _audit_exact(
-        self, anchor: PlanePoint, dx: float, dy: float, hull_cross: float
-    ) -> None:
-        """Cross-check the hull-based exact deviation against the buffer."""
-        ax = anchor.x
-        ay = anchor.y
-        buffered = 0.0
-        for b in self._buffer:
-            c = dx * (b.y - ay) - dy * (b.x - ax)
-            if c < 0.0:
-                c = -c
-            if c > buffered:
-                buffered = c
-        if abs(buffered - hull_cross) > 1e-6 * max(1.0, buffered):
-            raise RuntimeError(
-                "bqs debug_audit: hull exact deviation diverged from the "
-                f"buffered scan (hull={hull_cross!r}, buffer={buffered!r})"
-            )
-
-    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        key, slot = self._step(point)
-        committed = [] if key is None else [key]
-        return committed, _DECISION_LABELS[slot]
-
-    def _ingest_many(self, points) -> int:
-        """Batched ingest: integer decision slots, no per-point allocation."""
-        return self._run_batch_stepped(points, self._step, _DECISION_LABELS)
-
-    def _ingest_xyt(self, ts, xs, ys) -> int:
-        """Columnar ingest: zero per-fix objects on the bound-decided paths.
-
-        Mirrors :meth:`_step` with the stream state held in local floats:
-        the anchor is read once per batch (it only changes on a split), and
-        the previous fix is tracked as ``(x, y, t, z)`` floats and
-        materialized as a :class:`PlanePoint` only when a split commits
-        it.  Degenerate arrivals (fix coinciding with the anchor) are
-        rare, so they sync the locals back into the instance and reuse
-        :meth:`_step`'s exact logic.
-
-        ``debug_audit`` mode buffers every point by definition, so it keeps
-        the materializing default path.
-        """
-        if self._buffer is not None:
-            return super()._ingest_xyt(ts, xs, ys)
         emit = self._emit
         quadrants = self._quadrants
         epsilon = self._epsilon
+        audit = self._buffer
         hyp = math.hypot
         pa = polar_angle
         qi = quadrant_index
@@ -659,211 +525,176 @@ class BQSCompressor(CompressorBase):
             ax = anchor.x
             ay = anchor.y
         prev_obj = self._prev  # non-None means it is in sync with the floats
-        px = py = pt = pz = 0.0
+        px = py = pt = 0.0
         if prev_obj is not None:
-            px, py, pt, pz = prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
+            px, py, pt = prev_obj.x, prev_obj.y, prev_obj.t
         interior = self._interior
         retained = self._retained
         retained_peak = self._retained_peak
         try:
             for t, x, y in zip(ts, xs, ys):
                 if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
+                    raise out_of_order(last_t, t)
                 last_t = t
                 count += 1
 
                 if anchor is None:
-                    point = PlanePoint(x, y, t)
-                    anchor = point
-                    ax = x
-                    ay = y
-                    prev_obj = point
-                    px, py, pt, pz = x, y, t, 0.0
-                    emit(point)
+                    anchor = prev_obj = (
+                        PlanePoint(x, y, t)
+                        if points is None
+                        else points[count - start - 1]
+                    )
+                    ax = px = x
+                    ay = py = y
+                    pt = t
+                    emit(anchor)
                     counters[_D_INIT] += 1
                     continue
 
                 dx = x - ax
                 dy = y - ay
-
-                if interior == 0:
-                    # First fix after the anchor: trivially within bound.
-                    r = hyp(dx, dy)
-                    retained += quadrants[qi(dx, dy)].add(
-                        (dx, dy), pa(dx, dy), r
-                    )
-                    if retained > retained_peak:
-                        retained_peak = retained
-                    interior = 1
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    counters[_D_ACCEPT] += 1
-                    continue
-
                 denom = hyp(dx, dy)
-                if denom == 0.0:
-                    # Rare: sync the locals out, reuse the object-path
-                    # degenerate logic, and reload.
-                    self._anchor = anchor
-                    self._prev = (
-                        prev_obj
-                        if prev_obj is not None
-                        else PlanePoint(px, py, pt, pz)
-                    )
-                    self._interior = interior
-                    self._retained = retained
-                    self._retained_peak = retained_peak
-                    key, slot = self._step_degenerate(PlanePoint(x, y, t))
-                    counters[slot] += 1
-                    if key is not None:
-                        emit(key)
-                    anchor = self._anchor
-                    ax = anchor.x
-                    ay = anchor.y
-                    prev_obj = self._prev
-                    px, py, pt, pz = (
-                        prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
-                    )
-                    interior = self._interior
-                    retained = self._retained
-                    retained_peak = self._retained_peak
-                    continue
-                scaled_eps = epsilon * denom
-
-                within = True
-                for q in quadrants:
-                    if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
-                        within = False
-                        break
-                if within:
-                    retained += quadrants[qi(dx, dy)].add(
-                        (dx, dy), pa(dx, dy), denom
-                    )
-                    if retained > retained_peak:
-                        retained_peak = retained
-                    interior += 1
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    counters[_D_UPPER] += 1
-                    continue
-
-                lower = 0.0
-                for q in quadrants:
-                    if q.count:
-                        c = q.lower_cross(dx, dy)
-                        if c > lower:
-                            lower = c
-                if lower > scaled_eps:
-                    slot = _D_LOWER
+                split = False
+                if interior == 0:
+                    # First fix after the anchor: no interior points yet,
+                    # the two-point segment is trivially within bound.
+                    slot = _D_ACCEPT
+                elif denom == 0.0:
+                    slot = self._degenerate_slot()
+                    split = slot == _D_LOWER or slot == _D_EXACT_COMMIT
                 else:
-                    exact = 0.0
+                    scaled_eps = epsilon * denom
+                    within = True
                     for q in quadrants:
-                        if q.count:
-                            c = q.exact_cross(dx, dy)
-                            if c > exact:
-                                exact = c
-                    if exact <= scaled_eps:
-                        retained += quadrants[qi(dx, dy)].add(
-                            (dx, dy), pa(dx, dy), denom
-                        )
-                        if retained > retained_peak:
-                            retained_peak = retained
-                        interior += 1
-                        px, py, pt, pz = x, y, t, 0.0
-                        prev_obj = None
-                        counters[_D_EXACT_ACCEPT] += 1
-                        continue
-                    slot = _D_EXACT_COMMIT
+                        if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
+                            # Any single quadrant over tolerance settles
+                            # the question — same verdict as the max.
+                            within = False
+                            break
+                    if within:
+                        slot = _D_UPPER
+                    else:
+                        lower = 0.0
+                        for q in quadrants:
+                            if q.count:
+                                c = q.lower_cross(dx, dy)
+                                if c > lower:
+                                    lower = c
+                        if lower > scaled_eps:
+                            slot = _D_LOWER
+                            split = True
+                        else:
+                            # epsilon falls between the bounds: exact
+                            # deviation over the per-quadrant hull vertices
+                            # (convexity makes the hull scan exact).
+                            exact = 0.0
+                            for q in quadrants:
+                                if q.count:
+                                    c = q.exact_cross(dx, dy)
+                                    if c > exact:
+                                        exact = c
+                            if audit is not None:
+                                self._audit_exact(ax, ay, dx, dy, exact)
+                            if exact <= scaled_eps:
+                                slot = _D_EXACT_ACCEPT
+                            else:
+                                slot = _D_EXACT_COMMIT
+                                split = True
 
-                # Split: the previous fix becomes a key point and the new
-                # anchor; the current fix opens the fresh segment.
-                key = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
-                )
-                anchor = key
-                ax = px
-                ay = py
-                for q in quadrants:
-                    q.reset()
-                ndx = x - ax
-                ndy = y - ay
-                retained = quadrants[qi(ndx, ndy)].add(
-                    (ndx, ndy), pa(ndx, ndy), hyp(ndx, ndy)
-                )
+                if split:
+                    # Split.  Every admitted fix was verified (by bound or
+                    # exactly) against the path line to the fix admitted
+                    # after it, so the segment ending at the previous fix
+                    # honours the bound: that fix becomes a key point and
+                    # the new anchor, and this fix opens the fresh segment.
+                    # The quadrant structures are reset in place.
+                    key = prev_obj
+                    if key is None:
+                        key = (
+                            PlanePoint(px, py, pt)
+                            if points is None
+                            else points[count - start - 2]
+                        )
+                    anchor = key
+                    ax = px
+                    ay = py
+                    for q in quadrants:
+                        q.reset()
+                    if audit is not None:
+                        audit.restart_from(())
+                    retained = interior = 0
+                    dx = x - ax
+                    dy = y - ay
+                    denom = hyp(dx, dy)
+                    emit(key)
+
+                # Admit the fix into the open segment.
+                retained += quadrants[qi(dx, dy)].add((dx, dy), pa(dx, dy), denom)
                 if retained > retained_peak:
                     retained_peak = retained
-                interior = 1
-                px, py, pt, pz = x, y, t, 0.0
+                if audit is not None:
+                    audit.append(
+                        PlanePoint(x, y, t)
+                        if points is None
+                        else points[count - start - 1]
+                    )
+                interior += 1
+                px = x
+                py = y
+                pt = t
                 prev_obj = None
-                emit(key)
                 counters[slot] += 1
         finally:
             self._last_t = last_t
             self._count = count
             self._anchor = anchor
-            if anchor is None:
-                self._prev = None
-            else:
-                self._prev = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
+            if prev_obj is None and anchor is not None:
+                prev_obj = (
+                    PlanePoint(px, py, pt)
+                    if points is None
+                    else points[count - start - 1]
                 )
+            self._prev = prev_obj
             self._interior = interior
             self._retained = retained
             self._retained_peak = retained_peak
-            stats = self._stats
-            for slot, n in enumerate(counters):
-                if n:
-                    label = _DECISION_LABELS[slot]
-                    stats[label] = stats.get(label, 0) + n
+            self._fold_stats(counters, _DECISION_LABELS)
         return count - start
 
-    def _admit(self, point: PlanePoint) -> None:
-        """Record an accepted point, deriving its anchor-relative offset."""
-        anchor = self._anchor
-        dx = point.x - anchor.x
-        dy = point.y - anchor.y
-        self._admit_rel(point, dx, dy, math.hypot(dx, dy))
+    def _degenerate_slot(self) -> int:
+        """Decide a fix that coincides with the anchor.
 
-    def _admit_rel(self, point: PlanePoint, dx: float, dy: float, r: float) -> None:
-        """Record an accepted point whose anchor-relative offset ``(dx, dy)``
-        and norm ``r`` the caller already computed (the accept hot path)."""
-        retained = self._retained + self._quadrants[quadrant_index(dx, dy)].add(
-            (dx, dy), polar_angle(dx, dy), r
-        )
-        self._retained = retained
-        if retained > self._retained_peak:
-            self._retained_peak = retained
-        if self._buffer is not None:
-            self._buffer.append(point)
-        self._interior += 1
-        self._prev = point
-
-    def _split(self) -> PlanePoint:
-        """Commit the previous point as a key point and open a new segment.
-
-        Every admitted point was verified (by bound or exactly) against the
-        path line to the point admitted after it, so the segment ending at
-        ``prev`` honours the error bound; ``prev`` becomes the new anchor.
-        The quadrant structures are reset in place, not reallocated.
+        The path line collapses to a point, so every deviation becomes a
+        plain distance to the anchor; the same upper-bound, lower-bound,
+        exact cascade as the kernel, on unscaled distances.
         """
-        prev = self._prev
-        assert prev is not None
-        self._anchor = prev
-        self._prev = prev
-        self._interior = 0
-        self._retained = 0
-        for q in self._quadrants:
-            q.reset()
-        if self._buffer is not None:
-            self._buffer.restart_from(())
-        return prev
+        direction: Vec2 = (0.0, 0.0)
+        eps = self._epsilon
+        live = [q for q in self._quadrants if q.count]
+        if max(0.0, *(q.upper_bound(direction) for q in live)) <= eps:
+            return _D_UPPER
+        if max(0.0, *(q.lower_bound(direction) for q in live)) > eps:
+            return _D_LOWER
+        if max(0.0, *(q.hull_max_deviation(direction) for q in live)) <= eps:
+            return _D_EXACT_ACCEPT
+        return _D_EXACT_COMMIT
+
+    def _audit_exact(
+        self, ax: float, ay: float, dx: float, dy: float, hull_cross: float
+    ) -> None:
+        """Cross-check the hull-based exact deviation against the buffer."""
+        buffered = 0.0
+        for b in self._buffer:
+            c = dx * (b.y - ay) - dy * (b.x - ax)
+            if c < 0.0:
+                c = -c
+            if c > buffered:
+                buffered = c
+        if abs(buffered - hull_cross) > 1e-6 * max(1.0, buffered):
+            raise RuntimeError(
+                "bqs debug_audit: hull exact deviation diverged from the "
+                f"buffered scan (hull={hull_cross!r}, buffer={buffered!r})"
+            )
 
     def _flush(self) -> list[PlanePoint]:
         if self._prev is None:

@@ -16,10 +16,10 @@ admitted when the upper bound proves the whole open segment within
 costing a little compression rate for a large constant-factor speedup and
 strictly bounded memory.
 
-Like BQS, the hot path compares cross products against the tolerance
-pre-scaled by the path-line norm (no per-vertex ``hypot``), reuses the
-quadrant structures across segment splits, and ships a batched
-``_ingest_many`` that counts decisions in integer slots.
+Like BQS, one columnar kernel decides every fix for all three entry
+points; it compares cross products against the tolerance pre-scaled by the
+path-line norm (no per-vertex ``hypot``), reuses the quadrant structures
+across segment splits, and counts decisions in integer slots.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ import math
 from ..geometry.metrics import DistanceMetric
 from ..geometry.planar import Vec2
 from ..model.point import PlanePoint
-from .base import CompressorBase, Decision
+from .base import CompressorBase, Decision, out_of_order
 from .bqs import QuadrantState, polar_angle, quadrant_index
 
 __all__ = ["FastBQSCompressor"]
 
-# Integer decision slots for the batched ingest loop (Fast-BQS records the
+# Integer decision slots counted by the kernel (Fast-BQS records the
 # conservative commit under the same upper-bound label as an accept).
 _D_INIT = 0
 _D_ACCEPT = 1
@@ -85,67 +85,13 @@ class FastBQSCompressor(CompressorBase):
             count += 1
         return count
 
-    def _step(self, point: PlanePoint) -> tuple[PlanePoint | None, int]:
-        """One arrival; shared by the per-point and batched paths."""
-        anchor = self._anchor
-        if anchor is None:
-            self._anchor = point
-            self._prev = point
-            return point, _D_INIT
+    def _ingest_xyt(self, ts, xs, ys, points=None) -> int:
+        """The Fast-BQS decision kernel, behind every entry point.
 
-        if self._interior == 0:
-            self._admit(point)
-            return None, _D_ACCEPT
-
-        dx = point.x - anchor.x
-        dy = point.y - anchor.y
-        denom = math.hypot(dx, dy)
-        quadrants = self._quadrants
-        if denom == 0.0:
-            direction: Vec2 = (0.0, 0.0)
-            upper = 0.0
-            for q in quadrants:
-                if q.count:
-                    b = q.upper_bound(direction)
-                    if b > upper:
-                        upper = b
-            if upper <= self._epsilon:
-                self._admit(point)
-                return None, _D_UPPER
-        else:
-            scaled_eps = self._epsilon * denom
-            within = True
-            for q in quadrants:
-                if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
-                    within = False
-                    break
-            if within:
-                # Anchor unchanged: reuse the offset computed for the bound.
-                self._admit_rel(point, dx, dy)
-                return None, _D_UPPER
-
-        # Uncertain or certain violation — without the hulls both are
-        # resolved the same conservative way: split at the previous point.
-        key = self._split()
-        self._admit(point)
-        return key, _D_UPPER
-
-    def _ingest(self, point: PlanePoint) -> tuple[list[PlanePoint], str]:
-        key, slot = self._step(point)
-        committed = [] if key is None else [key]
-        return committed, _DECISION_LABELS[slot]
-
-    def _ingest_many(self, points) -> int:
-        """Batched ingest: integer decision slots, no per-point allocation."""
-        return self._run_batch_stepped(points, self._step, _DECISION_LABELS)
-
-    def _ingest_xyt(self, ts, xs, ys) -> int:
-        """Columnar ingest: zero per-fix objects on the upper-bound path.
-
-        Same structure as the BQS columnar loop, minus everything hull: the
-        anchor is cached in local floats, and the previous fix is tracked
-        as floats and materialized only when a split commits it.
-        Degenerate arrivals reuse :meth:`_step`.
+        Same structure as the BQS kernel, minus everything hull: the anchor
+        is cached in local floats, and the previous fix is tracked as
+        floats and turned into a point only when a split commits it or the
+        batch ends.
         """
         emit = self._emit
         quadrants = self._quadrants
@@ -162,139 +108,101 @@ class FastBQSCompressor(CompressorBase):
             ax = anchor.x
             ay = anchor.y
         prev_obj = self._prev  # non-None means it is in sync with the floats
-        px = py = pt = pz = 0.0
+        px = py = pt = 0.0
         if prev_obj is not None:
-            px, py, pt, pz = prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
+            px, py, pt = prev_obj.x, prev_obj.y, prev_obj.t
         interior = self._interior
         try:
             for t, x, y in zip(ts, xs, ys):
                 if not (t >= last_t):
-                    raise ValueError(
-                        f"points must be non-decreasing in time "
-                        f"({last_t} then {t})"
-                    )
+                    raise out_of_order(last_t, t)
                 last_t = t
                 count += 1
 
                 if anchor is None:
-                    point = PlanePoint(x, y, t)
-                    anchor = point
-                    ax = x
-                    ay = y
-                    prev_obj = point
-                    px, py, pt, pz = x, y, t, 0.0
-                    emit(point)
+                    anchor = prev_obj = (
+                        PlanePoint(x, y, t)
+                        if points is None
+                        else points[count - start - 1]
+                    )
+                    ax = px = x
+                    ay = py = y
+                    pt = t
+                    emit(anchor)
                     counters[_D_INIT] += 1
                     continue
 
                 dx = x - ax
                 dy = y - ay
-
+                split = False
                 if interior == 0:
-                    quadrants[qi(dx, dy)].add((dx, dy), pa(dx, dy))
-                    interior = 1
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    counters[_D_ACCEPT] += 1
-                    continue
+                    slot = _D_ACCEPT
+                else:
+                    slot = _D_UPPER
+                    denom = hyp(dx, dy)
+                    if denom == 0.0:
+                        split = self._degenerate_exceeds()
+                    else:
+                        scaled_eps = epsilon * denom
+                        for q in quadrants:
+                            if q.count and q.upper_cross_exceeds(
+                                dx, dy, scaled_eps
+                            ):
+                                split = True
+                                break
 
-                denom = hyp(dx, dy)
-                if denom == 0.0:
-                    # Rare: sync out, reuse the object-path logic, reload.
-                    self._anchor = anchor
-                    self._prev = (
-                        prev_obj
-                        if prev_obj is not None
-                        else PlanePoint(px, py, pt, pz)
-                    )
-                    self._interior = interior
-                    key, slot = self._step(PlanePoint(x, y, t))
-                    counters[slot] += 1
-                    if key is not None:
-                        emit(key)
-                    anchor = self._anchor
-                    ax = anchor.x
-                    ay = anchor.y
-                    prev_obj = self._prev
-                    px, py, pt, pz = (
-                        prev_obj.x, prev_obj.y, prev_obj.t, prev_obj.z
-                    )
-                    interior = self._interior
-                    continue
+                if split:
+                    # Uncertain or violated — without the hulls both are
+                    # resolved the same conservative way: split at prev.
+                    key = prev_obj
+                    if key is None:
+                        key = (
+                            PlanePoint(px, py, pt)
+                            if points is None
+                            else points[count - start - 2]
+                        )
+                    anchor = key
+                    ax = px
+                    ay = py
+                    for q in quadrants:
+                        q.reset()
+                    interior = 0
+                    dx = x - ax
+                    dy = y - ay
+                    emit(key)
 
-                scaled_eps = epsilon * denom
-                within = True
-                for q in quadrants:
-                    if q.count and q.upper_cross_exceeds(dx, dy, scaled_eps):
-                        within = False
-                        break
-                if within:
-                    quadrants[qi(dx, dy)].add((dx, dy), pa(dx, dy))
-                    interior += 1
-                    px, py, pt, pz = x, y, t, 0.0
-                    prev_obj = None
-                    counters[_D_UPPER] += 1
-                    continue
-
-                # Uncertain or violated: split conservatively at prev.
-                key = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
-                )
-                anchor = key
-                ax = px
-                ay = py
-                for q in quadrants:
-                    q.reset()
-                ndx = x - ax
-                ndy = y - ay
-                quadrants[qi(ndx, ndy)].add((ndx, ndy), pa(ndx, ndy))
-                interior = 1
-                px, py, pt, pz = x, y, t, 0.0
+                quadrants[qi(dx, dy)].add((dx, dy), pa(dx, dy))
+                interior += 1
+                px = x
+                py = y
+                pt = t
                 prev_obj = None
-                emit(key)
-                counters[_D_UPPER] += 1
+                counters[slot] += 1
         finally:
             self._last_t = last_t
             self._count = count
             self._anchor = anchor
-            if anchor is None:
-                self._prev = None
-            else:
-                self._prev = (
-                    prev_obj
-                    if prev_obj is not None
-                    else PlanePoint(px, py, pt, pz)
+            if prev_obj is None and anchor is not None:
+                prev_obj = (
+                    PlanePoint(px, py, pt)
+                    if points is None
+                    else points[count - start - 1]
                 )
+            self._prev = prev_obj
             self._interior = interior
-            stats = self._stats
-            for slot, n in enumerate(counters):
-                if n:
-                    label = _DECISION_LABELS[slot]
-                    stats[label] = stats.get(label, 0) + n
+            self._fold_stats(counters, _DECISION_LABELS)
         return count - start
 
-    def _admit(self, point: PlanePoint) -> None:
-        anchor = self._anchor
-        self._admit_rel(point, point.x - anchor.x, point.y - anchor.y)
+    def _degenerate_exceeds(self) -> bool:
+        """Does a fix coinciding with the anchor force a split?
 
-    def _admit_rel(self, point: PlanePoint, dx: float, dy: float) -> None:
-        self._quadrants[quadrant_index(dx, dy)].add(
-            (dx, dy), polar_angle(dx, dy)
-        )
-        self._interior += 1
-        self._prev = point
-
-    def _split(self) -> PlanePoint:
-        prev = self._prev
-        assert prev is not None
-        self._anchor = prev
-        self._prev = prev
-        self._interior = 0
-        for q in self._quadrants:
-            q.reset()
-        return prev
+        The path line collapses to a point, so the upper bound becomes the
+        bounded areas' largest distance from the anchor.
+        """
+        direction: Vec2 = (0.0, 0.0)
+        live = [q for q in self._quadrants if q.count]
+        upper = max(0.0, *(q.upper_bound(direction) for q in live))
+        return not (upper <= self._epsilon)
 
     def _flush(self) -> list[PlanePoint]:
         if self._prev is None:

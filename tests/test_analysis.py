@@ -291,63 +291,6 @@ class TestRA05FloatBitExactness:
         assert active(lint(src, path="src/repro/model/point.py")) == []
 
 
-class TestRA06ShmLifecycle:
-    def test_attach_outside_helper_flagged(self):
-        src = """\
-            from multiprocessing import shared_memory
-
-            def reader(name):
-                shm = shared_memory.SharedMemory(name=name)
-        """
-        findings = lint(src, path="src/repro/engine/transport.py")
-        assert active(findings) == ["RA06"]
-        assert "bpo-38119" in findings[0].message
-
-    def test_create_true_passes(self):
-        src = """\
-            from multiprocessing import shared_memory
-
-            def writer(name, size):
-                shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        """
-        assert active(lint(src, path="src/repro/engine/transport.py")) == []
-
-    def test_attach_inside_helper_passes(self):
-        src = """\
-            from multiprocessing import shared_memory
-            from multiprocessing import resource_tracker
-
-            def attach_shared_memory(name):
-                original = resource_tracker.register
-                resource_tracker.register = lambda *a, **k: None
-                try:
-                    return shared_memory.SharedMemory(name=name)
-                finally:
-                    resource_tracker.register = original
-        """
-        assert active(lint(src, path="src/repro/engine/transport.py")) == []
-
-    def test_helper_name_outside_transport_still_flagged(self):
-        src = """\
-            from multiprocessing import shared_memory
-
-            def attach_shared_memory(name):
-                return shared_memory.SharedMemory(name=name)
-        """
-        assert active(lint(src, path="src/repro/engine/other.py")) == ["RA06"]
-
-    def test_tracker_monkeypatch_outside_helper_flagged(self):
-        src = """\
-            from multiprocessing import resource_tracker
-
-            def sneaky():
-                resource_tracker.register = lambda *a, **k: None
-        """
-        assert active(lint(src, path="src/repro/engine/transport.py")) == [
-            "RA06"
-        ]
-
-
 class TestSuppressions:
     def test_same_line_suppression(self):
         src = "os.unlink(p)  # repro: ignore[RA01] foreign file, not ours\n"
@@ -414,8 +357,8 @@ class TestRunner:
         assert keys == sorted(keys)
         assert [f.rule for f in findings] == ["RA01", "RA01", "RA01"]
 
-    def test_registry_has_all_six_rules(self):
-        assert sorted(RULES) == ["RA01", "RA02", "RA03", "RA04", "RA05", "RA06"]
+    def test_registry_has_all_five_rules(self):
+        assert sorted(RULES) == ["RA01", "RA02", "RA03", "RA04", "RA05"]
 
 
 class TestCLI:
@@ -451,7 +394,7 @@ class TestCLI:
     def test_list_rules(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for rule_id in ("RA00", "RA01", "RA02", "RA03", "RA04", "RA05", "RA06"):
+        for rule_id in ("RA00", "RA01", "RA02", "RA03", "RA04", "RA05"):
             assert rule_id in proc.stdout
 
     def test_json_report_shape(self, bad_tree):

@@ -1,12 +1,13 @@
 """Columnar ingestion tests: TrajectoryColumns and push_xyt ↔ push identity.
 
-The columnar (struct-of-arrays) path must be a pure optimization: for every
-compressor and every workload, feeding flat ``(ts, xs, ys)`` columns
-through ``push_xyt`` must leave key points, stats, counts and info
-*bit-identical* to pushing the materialized ``PlanePoint`` objects one at a
-time — including across chunk boundaries, mixed entry points, mid-batch
-validation failures, and the degenerate (stationary) streams that exercise
-the zero-length path line.
+``push_xyt`` hands columns straight to each compressor's decision kernel,
+while ``push`` and ``push_many`` shred points into columns for the same
+kernel.  For every compressor and every workload, feeding flat
+``(ts, xs, ys)`` columns through ``push_xyt`` must leave key points, stats,
+counts and info *bit-identical* to pushing the materialized ``PlanePoint``
+objects one at a time — including across chunk boundaries, mixed entry
+points, mid-batch validation failures, and the degenerate (stationary)
+streams that exercise the zero-length path line.
 """
 
 import math
@@ -69,7 +70,7 @@ class TestTrajectoryColumns:
 
 
 class TestColumnarBitIdentity:
-    """The acceptance-criterion property: columnar ≡ object path, exactly."""
+    """The columnar and object entry points agree exactly."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("epsilon", [3.0, 10.0])
@@ -148,7 +149,8 @@ class TestColumnarBitIdentity:
             assert len(result) == 2
 
     def test_bqs_debug_audit_matches_columnar(self):
-        """The audited reference mode cross-checks the columnar output."""
+        """The audited reference mode cross-checks the kernel's exact
+        decisions on a columnar stream."""
         track = synthetic_track(2000, seed=4, noise_sigma=1.5)
         cols = TrajectoryColumns.from_points(track)
         audited = BQSCompressor(6.0, debug_audit=True)
